@@ -1,4 +1,4 @@
-//! Phase execution, shuffling, combining, and IO/memory accounting.
+//! Phase execution, shuffling, and IO/memory accounting.
 //!
 //! # Execution model
 //!
@@ -16,19 +16,27 @@
 //! single grouped sweep), mirroring external-sort shuffle semantics and
 //! preserving arrival order within each key group.
 //!
-//! # Columnar shuffle plane
+//! # Two planes, one phase body
 //!
-//! Alongside the legacy typed plane, the `*_phase_rows` variants shuffle
-//! fixed-width `f32` rows through the same columnar buffers the Pregel
-//! engine uses ([`inferturbo_common::rows`]): kernels emit rows into a
-//! [`RowSink`] (flat spool, no per-record heap object), the shuffle moves
-//! them as [`RowBucket`]s of contiguous `memcpy`-able rows, and reducers
-//! see each key's rows as one flat [`RowsView`]. When a phase provides a
-//! [`FusedAggregator`], emission folds rows into per-key accumulators at
-//! the sender (in-mapper fused aggregation), shrinking shuffle volume from
-//! one row per edge to one partial row per (worker, key). Rows keep the
-//! legacy plane's ordering discipline — mapper-order concatenation, stable
-//! sort by key — so results stay independent of the thread budget.
+//! Every phase moves two planes through the same shuffle. The typed
+//! (legacy) plane carries keyed records of any encodable type — for GNN
+//! inference the self-state, broadcast-table, ref and output records. The
+//! columnar plane carries fixed-width `f32` rows through the same columnar
+//! buffers the Pregel engine uses ([`inferturbo_common::rows`]): kernels
+//! emit rows into a [`RowSink`] (flat spool, no per-record heap object),
+//! the shuffle moves them as [`RowBucket`]s of contiguous `memcpy`-able
+//! rows, and reducers see each key's rows as one flat [`RowsView`]. When a
+//! phase provides a [`FusedAggregator`], emission folds rows into per-key
+//! accumulators at the sender (in-mapper fused aggregation — the paper's
+//! partial-gather on this backend), shrinking shuffle volume from one row
+//! per edge to one partial row per (worker, key). Both planes keep the same
+//! ordering discipline — mapper-order concatenation, stable sort by key —
+//! so results stay independent of the thread budget.
+//!
+//! [`BatchEngine::map_phase_rows`] and [`BatchEngine::reduce_phase_rows`]
+//! are the phase bodies; [`BatchEngine::map_phase`] and
+//! [`BatchEngine::reduce_phase`] are their typed-only forms with no row
+//! plane.
 
 use inferturbo_cluster::transport::{
     self, frame::EncodedKeyRecords, BucketRef, ConcatDest, ConcatExchange, Transport,
@@ -42,15 +50,6 @@ use inferturbo_common::par::{par_map, par_map_workers};
 use inferturbo_common::rows::{row_payload_len, FusedAggregator, FusedKeyShard, RowBlock};
 use inferturbo_common::{Error, FxHashMap, Result};
 use inferturbo_obs::{Payload, RoundKind, Site, TraceHandle};
-
-/// Sender-side fold for same-key values (must be commutative/associative —
-/// the annotation contract). Returns `None` when the value was absorbed, or
-/// `Some(overflow)` when the pair is not combinable (mixed record kinds —
-/// e.g. a self-state record meeting an in-edge message); the engine spools
-/// the overflow as its own record. Implementations may swap contents so the
-/// held anchor ends up being the combinable variant. `Sync` because every
-/// worker's spool applies it concurrently.
-pub type CombineFn<'a, V> = &'a (dyn Fn(&mut V, V) -> Option<V> + Sync);
 
 /// Keyed records routed to their destination worker, waiting to be grouped
 /// by the next phase. Byte sizes were charged to the *producing* phase as
@@ -201,7 +200,7 @@ impl RowsView<'_> {
 /// Columnar emitter handed to row-phase kernels: rows are spooled flat (no
 /// per-record heap object) or — when the phase has a [`FusedAggregator`] —
 /// folded straight into per-key accumulator rows at emission, Hadoop-style
-/// in-mapper combining without the per-object combiner buffer.
+/// in-mapper combining on flat rows.
 pub struct RowSink<'a> {
     dim: usize,
     agg: Option<&'a dyn FusedAggregator>,
@@ -243,8 +242,8 @@ impl<'a> RowSink<'a> {
 
     /// Resident bytes held by the sink and charged to the worker's memory
     /// peak: the in-mapper fused accumulator buffer only. Plain-spooled
-    /// rows model as streamed to the shuffle (like the legacy engine's
-    /// spilled records), so they cost shuffle bytes, not resident memory.
+    /// rows model as streamed to the shuffle (like typed records), so they
+    /// cost shuffle bytes, not resident memory.
     fn resident_bytes(&self) -> u64 {
         (self.fused.rows.data().len() * 4 + self.fused.keys.len() * 12) as u64
     }
@@ -299,7 +298,6 @@ impl PhaseCtx {
 #[derive(Clone, Copy)]
 struct PhaseParams {
     partition_fn: fn(u64, usize) -> usize,
-    combiner_capacity: usize,
     record_overhead: u64,
 }
 
@@ -351,7 +349,7 @@ struct PhaseOut<V> {
     metrics: WorkerPhase,
     routed: Vec<Vec<(u64, V)>>,
     routed_bytes: Vec<u64>,
-    /// Columnar plane output (empty zero-dim buckets for legacy phases).
+    /// Columnar plane output (zero-dim buckets for typed-only phases).
     routed_rows: Vec<RowBucket>,
     /// Modelled peak resident bytes, checked against the spec at the merge.
     peak: u64,
@@ -361,15 +359,52 @@ struct PhaseOut<V> {
     retries: u64,
 }
 
+impl<V: Encode> PhaseOut<V> {
+    fn new(workers: usize, row_dim: usize, retries: u64) -> Self {
+        PhaseOut {
+            metrics: WorkerPhase::default(),
+            routed: (0..workers).map(|_| Vec::new()).collect(),
+            routed_bytes: vec![0; workers],
+            routed_rows: (0..workers).map(|_| RowBucket::new(row_dim)).collect(),
+            peak: 0,
+            msg_bytes: MessagePlaneBytes::default(),
+            retries,
+        }
+    }
+
+    /// Charge one emitted typed pair as shuffle output and route it to its
+    /// destination shard, in emission order. Typed records model as
+    /// streamed to the shuffle: they cost bytes, not resident memory.
+    fn route(&mut self, params: &PhaseParams, key: u64, value: V) {
+        let len = params.wire_len(key, &value);
+        self.metrics.send(len);
+        self.msg_bytes.legacy += len;
+        let dst = (params.partition_fn)(key, self.routed.len());
+        self.routed_bytes[dst] += len;
+        self.routed[dst].push((key, value));
+    }
+
+    /// Close the task: route the row sink's output and charge the modelled
+    /// peak — `group_bytes` (the largest key group a reducer held; 0 for a
+    /// mapper, which holds one record) plus the sink's fused accumulators.
+    fn finish(&mut self, params: &PhaseParams, sink: &mut RowSink<'_>, group_bytes: u64) {
+        self.peak = group_bytes + sink.resident_bytes();
+        sink.flush_into(
+            params,
+            &mut self.metrics,
+            &mut self.routed_rows,
+            &mut self.routed_bytes,
+            &mut self.msg_bytes.columnar,
+        );
+        self.metrics.touch_mem(self.peak);
+    }
+}
+
 /// The batch engine. Owns the cluster spec and accumulates a [`RunReport`]
 /// across phases; one engine instance = one job chain.
 pub struct BatchEngine {
     spec: ClusterSpec,
     partition_fn: fn(u64, usize) -> usize,
-    /// Bounded combiner buffer size (records); 0 = unbounded. When the
-    /// buffer is full it spills: all held pairs are flushed to the shuffle
-    /// and combining restarts — Hadoop-style in-mapper combining.
-    pub combiner_capacity: usize,
     /// Fixed per-record overhead bytes modelling shuffle framing.
     record_overhead: u64,
     report: RunReport,
@@ -407,7 +442,6 @@ impl BatchEngine {
         BatchEngine {
             spec,
             partition_fn: partition_of,
-            combiner_capacity: 0,
             record_overhead: 2,
             report: RunReport::new(spec),
             faults: FaultPlan::from_env().map(|p| p.injector()),
@@ -480,7 +514,6 @@ impl BatchEngine {
     fn params(&self) -> PhaseParams {
         PhaseParams {
             partition_fn: self.partition_fn,
-            combiner_capacity: self.combiner_capacity,
             record_overhead: self.record_overhead,
         }
     }
@@ -518,20 +551,13 @@ impl BatchEngine {
         per_worker
     }
 
-    /// Map phase: per-worker input records → routed keyed pairs.
-    ///
-    /// `make_map(worker)` builds the kernel each worker runs — one instance
-    /// per worker, so kernels may carry per-worker mutable state. Workers
-    /// execute in parallel; input bytes are charged per record (reading the
-    /// split); emitted pairs are combined (optionally) and charged as
-    /// shuffle output. The first failure in ascending worker order is
-    /// surfaced, like the serial loop.
+    /// Map phase: per-worker input records → routed keyed pairs. The
+    /// typed-only form of [`BatchEngine::map_phase_rows`] (no row plane).
     pub fn map_phase<I, V, M, F>(
         &mut self,
         name: impl Into<String>,
         inputs: &[Vec<I>],
         make_map: F,
-        combiner: Option<CombineFn<'_, V>>,
     ) -> Result<KeyedData<V>>
     where
         I: Encode + Sync,
@@ -539,70 +565,22 @@ impl BatchEngine {
         M: FnMut(&mut PhaseCtx, &I) -> Result<Vec<(u64, V)>>,
         F: Fn(usize) -> M + Sync,
     {
-        assert_eq!(
-            inputs.len(),
-            self.spec.workers,
-            "inputs must be pre-partitioned"
-        );
-        let name = name.into();
-        let n = self.spec.workers;
-        let params = self.params();
-        let (gate, round) = self.map_gate();
-
-        let results: Vec<Result<PhaseOut<V>>> = par_map_workers(n, |w| {
-            let task_retries = gate.admit(|inj| inj.map_task(w, round))?;
-            let recs = &inputs[w];
-            let mut metrics = WorkerPhase::default();
+        let make_map = |w: usize| {
             let mut kernel = make_map(w);
-            let mut out = OutBuffer::new(params, combiner);
-            for rec in recs {
-                metrics.recv(rec.encoded_len() as u64 + params.record_overhead);
-                let mut ctx = PhaseCtx::default();
-                for (k, v) in kernel(&mut ctx, rec)? {
-                    out.push(k, v);
-                }
-                metrics.flops += ctx.flops;
-            }
-            let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let legacy = out.flush_into(&mut metrics, &mut routed, &mut routed_bytes);
-            // Mapper memory: one record + combiner buffer.
-            let peak = out.peak_bytes;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
-                metrics,
-                routed,
-                routed_bytes,
-                routed_rows: Vec::new(),
-                peak,
-                msg_bytes: MessagePlaneBytes {
-                    columnar: 0,
-                    legacy,
-                },
-                retries: task_retries,
-            })
-        });
-        Ok(self.merge_phase(name, RoundKind::Map, 0, results)?.0)
+            move |ctx: &mut PhaseCtx, rec: &I, _sink: &mut RowSink<'_>| kernel(ctx, rec)
+        };
+        Ok(self.map_phase_rows(name, inputs, 0, make_map, None)?.0)
     }
 
     /// Reduce phase: group each worker's shuffle partition by key, run its
-    /// kernel per group, and route the emitted pairs onward.
-    ///
-    /// Workers run in parallel — each worker's partition is a disjoint key
-    /// range by construction of the shuffle. Within a worker, records are
-    /// stable-sorted by key (external-sort semantics: ascending keys,
-    /// arrival order preserved inside a group) and reduced in one grouped
-    /// sweep. `make_reduce(worker)` builds one kernel per worker, which may
-    /// hold per-worker state across its key stream (e.g. the broadcast
-    /// table riding reserved low keys). The modelled reducer memory peak is
-    /// the largest single group plus the combiner buffer — streaming
-    /// reducers never hold their whole partition.
+    /// kernel per group, and route the emitted pairs onward. The
+    /// typed-only form of [`BatchEngine::reduce_phase_rows`] (no row
+    /// plane).
     pub fn reduce_phase<V, O, R, F>(
         &mut self,
         name: impl Into<String>,
         data: KeyedData<V>,
         make_reduce: F,
-        combiner: Option<CombineFn<'_, O>>,
     ) -> Result<KeyedData<O>>
     where
         V: Encode + Decode + Clone + Send,
@@ -610,76 +588,37 @@ impl BatchEngine {
         R: FnMut(&mut PhaseCtx, u64, Vec<V>) -> Result<Vec<(u64, O)>>,
         F: Fn(usize) -> R + Sync,
     {
-        let name = name.into();
-        let n = self.spec.workers;
-        assert_eq!(data.per_worker.len(), n, "keyed data shape");
-        let params = self.params();
-        let (gate, round) = self.reduce_gate();
-
-        let results: Vec<Result<PhaseOut<O>>> = par_map(data.per_worker, |w, mut bucket| {
-            // Fired before the task consumes its shuffle partition, so a
-            // re-launched task reads the same immutable input.
-            let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
-            let mut metrics = WorkerPhase::default();
-            // Input accounting: the fetch of this worker's shuffle partition.
-            for (k, v) in &bucket {
-                metrics.recv(params.wire_len(*k, v));
-            }
-            // Shuffle sort: stable, so same-key values keep arrival order.
-            bucket.sort_by_key(|&(k, _)| k);
-
+        let make_reduce = |w: usize| {
             let mut kernel = make_reduce(w);
-            let mut out = OutBuffer::new(params, combiner);
-            let mut max_group_bytes = 0u64;
-            let mut it = bucket.into_iter().peekable();
-            while let Some((k, v)) = it.next() {
-                let mut values = vec![v];
-                while let Some((_, v2)) = it.next_if(|&(k2, _)| k2 == k) {
-                    values.push(v2);
-                }
-                let group_bytes: u64 = values.iter().map(|v| params.wire_len(k, v)).sum();
-                max_group_bytes = max_group_bytes.max(group_bytes);
-                let mut ctx = PhaseCtx::default();
-                for (k2, v2) in kernel(&mut ctx, k, values)? {
-                    out.push(k2, v2);
-                }
-                metrics.flops += ctx.flops;
-            }
-            let mut routed: Vec<Vec<(u64, O)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let legacy = out.flush_into(&mut metrics, &mut routed, &mut routed_bytes);
-            let peak = max_group_bytes + out.peak_bytes;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
-                metrics,
-                routed,
-                routed_bytes,
-                routed_rows: Vec::new(),
-                peak,
-                msg_bytes: MessagePlaneBytes {
-                    columnar: 0,
-                    legacy,
-                },
-                retries: task_retries,
-            })
-        });
-        let _ = data.pending_bytes; // consumed; bytes were charged above
-        Ok(self.merge_phase(name, RoundKind::Reduce, 0, results)?.0)
+            move |ctx: &mut PhaseCtx,
+                  key: u64,
+                  values: Vec<V>,
+                  _view: RowsView<'_>,
+                  _sink: &mut RowSink<'_>| kernel(ctx, key, values)
+        };
+        let rows = KeyedRows::empty(0, self.spec.workers);
+        Ok(self
+            .reduce_phase_rows(name, data, rows, 0, make_reduce, None)?
+            .0)
     }
 
-    /// Map phase with a columnar output plane: like
-    /// [`BatchEngine::map_phase`], but the kernel additionally emits
-    /// fixed-width rows of `row_dim` through a [`RowSink`]. With `row_agg`
-    /// set, emitted rows fold into per-key accumulators at the sender
-    /// (fused in-mapper aggregation).
-    #[allow(clippy::too_many_arguments)]
+    /// Map phase: per-worker input records → routed keyed pairs on the
+    /// typed plane plus fixed-width rows of `row_dim` emitted through a
+    /// [`RowSink`] (`row_dim` 0 = no row plane).
+    ///
+    /// `make_map(worker)` builds the kernel each worker runs — one instance
+    /// per worker, so kernels may carry per-worker mutable state. Workers
+    /// execute in parallel; input bytes are charged per record (reading the
+    /// split); emitted pairs and rows are charged as shuffle output. With
+    /// `row_agg` set, emitted rows fold into per-key accumulators at the
+    /// sender (fused in-mapper aggregation). The first failure in
+    /// ascending worker order is surfaced, like the serial loop.
     pub fn map_phase_rows<I, V, M, F>(
         &mut self,
         name: impl Into<String>,
         inputs: &[Vec<I>],
         row_dim: usize,
         make_map: F,
-        combiner: Option<CombineFn<'_, V>>,
         row_agg: Option<&dyn FusedAggregator>,
     ) -> Result<(KeyedData<V>, KeyedRows)>
     where
@@ -701,53 +640,38 @@ impl BatchEngine {
         let results: Vec<Result<PhaseOut<V>>> = par_map_workers(n, |w| {
             let task_retries = gate.admit(|inj| inj.map_task(w, round))?;
             let recs = &inputs[w];
-            let mut metrics = WorkerPhase::default();
+            let mut out = PhaseOut::new(n, row_dim, task_retries);
             let mut kernel = make_map(w);
-            let mut out = OutBuffer::new(params, combiner);
             let mut sink = RowSink::new(row_dim, row_agg);
             for rec in recs {
-                metrics.recv(rec.encoded_len() as u64 + params.record_overhead);
+                out.metrics
+                    .recv(rec.encoded_len() as u64 + params.record_overhead);
                 let mut ctx = PhaseCtx::default();
                 for (k, v) in kernel(&mut ctx, rec, &mut sink)? {
-                    out.push(k, v);
+                    out.route(&params, k, v);
                 }
-                metrics.flops += ctx.flops;
+                out.metrics.flops += ctx.flops;
             }
-            let mut routed: Vec<Vec<(u64, V)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let mut routed_rows: Vec<RowBucket> = (0..n).map(|_| RowBucket::new(row_dim)).collect();
-            let sink_resident = sink.resident_bytes();
-            let legacy = out.flush_into(&mut metrics, &mut routed, &mut routed_bytes);
-            let mut columnar = 0u64;
-            sink.flush_into(
-                &params,
-                &mut metrics,
-                &mut routed_rows,
-                &mut routed_bytes,
-                &mut columnar,
-            );
-            // Mapper memory: one record + combiner buffer + row sink.
-            let peak = out.peak_bytes + sink_resident;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
-                metrics,
-                routed,
-                routed_bytes,
-                routed_rows,
-                peak,
-                msg_bytes: MessagePlaneBytes { columnar, legacy },
-                retries: task_retries,
-            })
+            // Mapper memory: one record + the row sink's accumulators.
+            out.finish(&params, &mut sink, 0);
+            Ok(out)
         });
         self.merge_phase(name, RoundKind::Map, row_dim, results)
     }
 
-    /// Reduce phase over both planes: each worker's legacy partition and
+    /// Reduce phase over both planes: each worker's typed partition and
     /// row partition are grouped by key (stable, ascending — the union of
     /// keys from either plane), and the kernel sees the key's typed values
     /// plus its rows as one flat [`RowsView`], emitting onward through the
     /// returned pairs and a [`RowSink`] of `out_dim`-wide rows.
-    #[allow(clippy::too_many_arguments)]
+    ///
+    /// Workers run in parallel — each worker's partition is a disjoint key
+    /// range by construction of the shuffle. `make_reduce(worker)` builds
+    /// one kernel per worker, which may hold per-worker state across its
+    /// key stream (e.g. the broadcast table riding reserved low keys). The
+    /// modelled reducer memory peak is the largest single group plus the
+    /// row sink's accumulators — streaming reducers never hold their whole
+    /// partition.
     pub fn reduce_phase_rows<V, O, R, F>(
         &mut self,
         name: impl Into<String>,
@@ -755,7 +679,6 @@ impl BatchEngine {
         rows: KeyedRows,
         out_dim: usize,
         make_reduce: F,
-        combiner: Option<CombineFn<'_, O>>,
         row_agg: Option<&dyn FusedAggregator>,
     ) -> Result<(KeyedData<O>, KeyedRows)>
     where
@@ -784,14 +707,15 @@ impl BatchEngine {
             // Fired before the task consumes its shuffle partition, so a
             // re-launched task reads the same immutable input.
             let task_retries = gate.admit(|inj| inj.reduce_task(w, round))?;
-            let mut metrics = WorkerPhase::default();
+            let mut out = PhaseOut::new(n, out_dim, task_retries);
             // Input accounting: the fetch of this worker's shuffle
             // partition, both planes.
             for (k, v) in &bucket {
-                metrics.recv(params.wire_len(*k, v));
+                out.metrics.recv(params.wire_len(*k, v));
             }
             for i in 0..rbucket.len() {
-                metrics.recv(params.row_wire_len(rbucket.keys[i], in_dim, rbucket.counts[i]));
+                out.metrics
+                    .recv(params.row_wire_len(rbucket.keys[i], in_dim, rbucket.counts[i]));
             }
             // Shuffle sort: stable on both planes, so same-key records
             // keep arrival order. Rows sort an index permutation — the
@@ -801,7 +725,6 @@ impl BatchEngine {
             row_ord.sort_by_key(|&i| rbucket.keys[i as usize]);
 
             let mut kernel = make_reduce(w);
-            let mut out = OutBuffer::new(params, combiner);
             let mut sink = RowSink::new(out_dim, row_agg);
             let mut max_group_bytes = 0u64;
             // Per-group row gather scratch, reused across groups.
@@ -841,34 +764,12 @@ impl BatchEngine {
                 };
                 let mut ctx = PhaseCtx::default();
                 for (k2, v2) in kernel(&mut ctx, k, values, view, &mut sink)? {
-                    out.push(k2, v2);
+                    out.route(&params, k2, v2);
                 }
-                metrics.flops += ctx.flops;
+                out.metrics.flops += ctx.flops;
             }
-            let mut routed: Vec<Vec<(u64, O)>> = (0..n).map(|_| Vec::new()).collect();
-            let mut routed_bytes = vec![0u64; n];
-            let mut routed_rows: Vec<RowBucket> = (0..n).map(|_| RowBucket::new(out_dim)).collect();
-            let sink_resident = sink.resident_bytes();
-            let legacy = out.flush_into(&mut metrics, &mut routed, &mut routed_bytes);
-            let mut columnar = 0u64;
-            sink.flush_into(
-                &params,
-                &mut metrics,
-                &mut routed_rows,
-                &mut routed_bytes,
-                &mut columnar,
-            );
-            let peak = max_group_bytes + out.peak_bytes + sink_resident;
-            metrics.touch_mem(peak);
-            Ok(PhaseOut {
-                metrics,
-                routed,
-                routed_bytes,
-                routed_rows,
-                peak,
-                msg_bytes: MessagePlaneBytes { columnar, legacy },
-                retries: task_retries,
-            })
+            out.finish(&params, &mut sink, max_group_bytes);
+            Ok(out)
         });
         self.merge_phase(name, RoundKind::Reduce, out_dim, results)
     }
@@ -935,11 +836,9 @@ impl BatchEngine {
         for (dst, legacy) in encoded_legacy.iter_mut().enumerate() {
             // Skip the row plane entirely when no mapper emitted rows for
             // this destination — phases without row traffic move nothing.
-            // A phase with no row traffic leaves `routed_rows` empty
-            // rather than carrying n empty buckets — hence `get`.
             let buckets: Vec<BucketRef<'_>> = rows_by_mapper
                 .iter()
-                .filter_map(|m| m.get(dst))
+                .map(|m| &m[dst])
                 .filter(|b| !b.is_empty())
                 .map(|b| BucketRef {
                     keys: &b.keys,
@@ -1028,90 +927,6 @@ impl BatchEngine {
     }
 }
 
-/// Emission buffer with optional bounded combining. Worker-local: it routes
-/// into per-worker shards that the barrier later concatenates.
-struct OutBuffer<'e, V: Encode + Clone> {
-    params: PhaseParams,
-    combiner: Option<CombineFn<'e, V>>,
-    /// Combined pairs when combining; plain spool otherwise.
-    held: Vec<(u64, V)>,
-    held_idx: FxHashMap<u64, usize>,
-    spilled: Vec<(u64, V)>,
-    peak_bytes: u64,
-}
-
-impl<'e, V: Encode + Clone> OutBuffer<'e, V> {
-    fn new(params: PhaseParams, combiner: Option<CombineFn<'e, V>>) -> Self {
-        OutBuffer {
-            params,
-            combiner,
-            held: Vec::new(),
-            held_idx: FxHashMap::default(),
-            spilled: Vec::new(),
-            peak_bytes: 0,
-        }
-    }
-
-    fn push(&mut self, k: u64, v: V) {
-        match self.combiner {
-            None => self.spilled.push((k, v)),
-            Some(f) => {
-                match self.held_idx.get(&k) {
-                    Some(&i) => {
-                        if let Some(overflow) = f(&mut self.held[i].1, v) {
-                            self.spilled.push((k, overflow));
-                        }
-                    }
-                    None => {
-                        self.held_idx.insert(k, self.held.len());
-                        self.held.push((k, v));
-                    }
-                }
-                let cap = self.params.combiner_capacity;
-                if cap > 0 && self.held.len() >= cap {
-                    self.track_buffer_peak();
-                    self.spilled.append(&mut self.held);
-                    self.held_idx.clear();
-                }
-            }
-        }
-    }
-
-    fn track_buffer_peak(&mut self) {
-        let bytes: u64 = self
-            .held
-            .iter()
-            .map(|(k, v)| self.params.wire_len(*k, v))
-            .sum();
-        self.peak_bytes = self.peak_bytes.max(bytes);
-    }
-
-    /// Charge output bytes to this worker's metrics and route pairs to
-    /// their destination shards. Returns the total bytes flushed (the
-    /// legacy plane's message volume).
-    fn flush_into(
-        &mut self,
-        metrics: &mut WorkerPhase,
-        routed: &mut [Vec<(u64, V)>],
-        routed_bytes: &mut [u64],
-    ) -> u64 {
-        self.track_buffer_peak();
-        let held = std::mem::take(&mut self.held);
-        self.held_idx.clear();
-        let spilled = std::mem::take(&mut self.spilled);
-        let mut total = 0u64;
-        for (k, v) in spilled.into_iter().chain(held) {
-            let len = self.params.wire_len(k, &v);
-            metrics.send(len);
-            total += len;
-            let dst = (self.params.partition_fn)(k, routed.len());
-            routed_bytes[dst] += len;
-            routed[dst].push((k, v));
-        }
-        total
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1127,23 +942,15 @@ mod tests {
         let inputs: Vec<u64> = vec![1, 2, 1, 3, 1, 2];
         let parts = eng.scatter_inputs(inputs);
         let keyed = eng
-            .map_phase(
-                "map",
-                &parts,
-                |_w| |_ctx: &mut PhaseCtx, &rec: &u64| Ok(vec![(rec, 1.0f32)]),
-                None,
-            )
+            .map_phase("map", &parts, |_w| {
+                |_ctx: &mut PhaseCtx, &rec: &u64| Ok(vec![(rec, 1.0f32)])
+            })
             .unwrap();
         assert_eq!(keyed.len(), 6);
         let reduced = eng
-            .reduce_phase(
-                "reduce",
-                keyed,
-                |_w| {
-                    |_ctx: &mut PhaseCtx, k, vals: Vec<f32>| Ok(vec![(k, vals.iter().sum::<f32>())])
-                },
-                None,
-            )
+            .reduce_phase("reduce", keyed, |_w| {
+                |_ctx: &mut PhaseCtx, k, vals: Vec<f32>| Ok(vec![(k, vals.iter().sum::<f32>())])
+            })
             .unwrap();
         let m = reduced.into_map();
         assert_eq!(m[&1], 3.0);
@@ -1157,104 +964,24 @@ mod tests {
         let mut eng = engine(2);
         let parts = eng.scatter_inputs(vec![5u64, 6]);
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, r as f32)]),
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, r as f32)])
+            })
             .unwrap();
         let r1 = eng
-            .reduce_phase(
-                "r1",
-                keyed,
-                |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v[0] * 2.0)]),
-                None,
-            )
+            .reduce_phase("r1", keyed, |_w| {
+                |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v[0] * 2.0)])
+            })
             .unwrap();
         let r2 = eng
-            .reduce_phase(
-                "r2",
-                r1,
-                |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, -v[0])]),
-                None,
-            )
+            .reduce_phase("r2", r1, |_w| {
+                |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, -v[0])])
+            })
             .unwrap();
         let m = r2.into_map();
         assert_eq!(m[&5], -10.0);
         assert_eq!(m[&6], -12.0);
         assert_eq!(eng.report().phases.len(), 3);
-    }
-
-    #[test]
-    fn combiner_reduces_shuffle_bytes_not_results() {
-        let inputs: Vec<u64> = (0..100).map(|i| i % 5).collect();
-        let run = |combine: bool| {
-            let mut eng = engine(3);
-            let parts = eng.scatter_inputs(inputs.clone());
-            let fold = |a: &mut f32, b: f32| {
-                *a += b;
-                None
-            };
-            let comb: Option<CombineFn<'_, f32>> = if combine { Some(&fold) } else { None };
-            let keyed = eng
-                .map_phase(
-                    "m",
-                    &parts,
-                    |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)]),
-                    comb,
-                )
-                .unwrap();
-            let out = eng
-                .reduce_phase(
-                    "r",
-                    keyed,
-                    |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())]),
-                    None,
-                )
-                .unwrap();
-            (eng.report().phases[0].bytes_out_total(), out.into_map())
-        };
-        let (bytes_plain, m_plain) = run(false);
-        let (bytes_comb, m_comb) = run(true);
-        assert!(
-            bytes_comb < bytes_plain / 3,
-            "{bytes_comb} vs {bytes_plain}"
-        );
-        for k in 0..5u64 {
-            assert_eq!(m_plain[&k], 20.0);
-            assert_eq!(m_comb[&k], 20.0);
-        }
-    }
-
-    #[test]
-    fn bounded_combiner_spills_but_stays_correct() {
-        let inputs: Vec<u64> = (0..1000).map(|i| i % 7).collect();
-        let mut eng = engine(2);
-        eng.combiner_capacity = 3; // absurdly small: force many spills
-        let parts = eng.scatter_inputs(inputs);
-        let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)]),
-                Some(&|a: &mut f32, b| {
-                    *a += b;
-                    None
-                }),
-            )
-            .unwrap();
-        let out = eng
-            .reduce_phase(
-                "r",
-                keyed,
-                |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())]),
-                None,
-            )
-            .unwrap();
-        let m = out.into_map();
-        let total: f32 = (0..7u64).map(|k| m[&k]).sum();
-        assert_eq!(total, 1000.0);
     }
 
     #[test]
@@ -1264,28 +991,20 @@ mod tests {
         let mut eng = BatchEngine::new(ClusterSpec::test_spec(1));
         let parts = eng.scatter_inputs((0..100u64).collect());
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| {
-                    |_c: &mut PhaseCtx, &r: &u64| {
-                        Ok(if r < 50 {
-                            vec![(7u64, vec![0.0f32; 100])] // giant group at key 7
-                        } else {
-                            vec![(r, vec![0.0f32; 1])]
-                        })
-                    }
-                },
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |_c: &mut PhaseCtx, &r: &u64| {
+                    Ok(if r < 50 {
+                        vec![(7u64, vec![0.0f32; 100])] // giant group at key 7
+                    } else {
+                        vec![(r, vec![0.0f32; 1])]
+                    })
+                }
+            })
             .unwrap();
         let out = eng
-            .reduce_phase(
-                "r",
-                keyed,
-                |_w| |_c: &mut PhaseCtx, k, _v: Vec<Vec<f32>>| Ok(vec![(k, 0u32)]),
-                None,
-            )
+            .reduce_phase("r", keyed, |_w| {
+                |_c: &mut PhaseCtx, k, _v: Vec<Vec<f32>>| Ok(vec![(k, 0u32)])
+            })
             .unwrap();
         drop(out);
         let peak = eng.report().phases[1].per_worker[0].mem_peak;
@@ -1302,20 +1021,14 @@ mod tests {
         let mut eng = BatchEngine::new(spec);
         let parts = eng.scatter_inputs(vec![0u64; 10]);
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| |_c: &mut PhaseCtx, _: &u64| Ok(vec![(1u64, vec![1.0f32; 8])]),
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |_c: &mut PhaseCtx, _: &u64| Ok(vec![(1u64, vec![1.0f32; 8])])
+            })
             .unwrap();
         let err = eng
-            .reduce_phase(
-                "r",
-                keyed,
-                |_w| |_c: &mut PhaseCtx, k, _v: Vec<Vec<f32>>| Ok(vec![(k, 0u32)]),
-                None,
-            )
+            .reduce_phase("r", keyed, |_w| {
+                |_c: &mut PhaseCtx, k, _v: Vec<Vec<f32>>| Ok(vec![(k, 0u32)])
+            })
             .unwrap_err();
         assert!(err.is_oom());
         assert!(err.to_string().contains("phase `r`"));
@@ -1327,20 +1040,14 @@ mod tests {
             let mut eng = engine(4);
             let parts = eng.scatter_inputs((0..200u64).collect());
             let keyed = eng
-                .map_phase(
-                    "m",
-                    &parts,
-                    |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 13, r as f32)]),
-                    None,
-                )
+                .map_phase("m", &parts, |_w| {
+                    |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 13, r as f32)])
+                })
                 .unwrap();
             let out = eng
-                .reduce_phase(
-                    "r",
-                    keyed,
-                    |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())]),
-                    None,
-                )
+                .reduce_phase("r", keyed, |_w| {
+                    |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())])
+                })
                 .unwrap();
             let mut pairs: Vec<(u64, f32)> = out.into_map().into_iter().collect();
             pairs.sort_by_key(|&(k, _)| k);
@@ -1354,17 +1061,12 @@ mod tests {
         let mut eng = engine(1);
         let parts = eng.scatter_inputs(vec![0u64]);
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| {
-                    |ctx: &mut PhaseCtx, &r: &u64| {
-                        ctx.add_flops(2.0e6); // 2 s at 1e6 flops/s
-                        Ok(vec![(r, 0.0f32)])
-                    }
-                },
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |ctx: &mut PhaseCtx, &r: &u64| {
+                    ctx.add_flops(2.0e6); // 2 s at 1e6 flops/s
+                    Ok(vec![(r, 0.0f32)])
+                }
+            })
             .unwrap();
         drop(keyed);
         let p = &eng.report().phases[0];
@@ -1376,21 +1078,15 @@ mod tests {
         let mut eng = engine(2);
         let parts = eng.scatter_inputs(vec![1u64, 2]);
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, vec![1.0f32; 16])]),
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, vec![1.0f32; 16])])
+            })
             .unwrap();
         let map_out: u64 = eng.report().phases[0].bytes_out_total();
         let out = eng
-            .reduce_phase(
-                "r",
-                keyed,
-                |_w| |_c: &mut PhaseCtx, k, _: Vec<Vec<f32>>| Ok(vec![(k, 0u32)]),
-                None,
-            )
+            .reduce_phase("r", keyed, |_w| {
+                |_c: &mut PhaseCtx, k, _: Vec<Vec<f32>>| Ok(vec![(k, 0u32)])
+            })
             .unwrap();
         drop(out);
         let reduce_in: u64 = eng.report().phases[1].bytes_in_total();
@@ -1403,18 +1099,13 @@ mod tests {
         let mut eng = engine(3);
         let parts = eng.scatter_inputs((0..9u64).collect());
         let err = eng
-            .map_phase(
-                "boom",
-                &parts,
-                |w| {
-                    move |_c: &mut PhaseCtx, _r: &u64| -> Result<Vec<(u64, f32)>> {
-                        Err(inferturbo_common::Error::InvalidGraph(format!(
-                            "worker {w} exploded"
-                        )))
-                    }
-                },
-                None,
-            )
+            .map_phase("boom", &parts, |w| {
+                move |_c: &mut PhaseCtx, _r: &u64| -> Result<Vec<(u64, f32)>> {
+                    Err(inferturbo_common::Error::InvalidGraph(format!(
+                        "worker {w} exploded"
+                    )))
+                }
+            })
             .unwrap_err();
         assert!(err.to_string().contains("worker 0"), "{err}");
         assert!(err.to_string().contains("phase `boom`"), "{err}");
@@ -1453,7 +1144,6 @@ mod tests {
                             Ok(vec![(r % 5, 1u32)])
                         }
                     },
-                    None,
                     agg,
                 )
                 .unwrap();
@@ -1484,7 +1174,6 @@ mod tests {
                             Ok(vec![(k, vec![sum[0], sum[1], count as f32])])
                         }
                     },
-                    None,
                     None,
                 )
                 .unwrap();
@@ -1541,20 +1230,14 @@ mod tests {
             let mut eng = engine(3).with_faults(plan);
             let parts = eng.scatter_inputs((0..60u64).collect());
             let keyed = eng
-                .map_phase(
-                    "m",
-                    &parts,
-                    |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 7, r as f32)]),
-                    None,
-                )
+                .map_phase("m", &parts, |_w| {
+                    |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r % 7, r as f32)])
+                })
                 .unwrap();
             let out = eng
-                .reduce_phase(
-                    "r",
-                    keyed,
-                    |_w| |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())]),
-                    None,
-                )
+                .reduce_phase("r", keyed, |_w| {
+                    |_c: &mut PhaseCtx, k, v: Vec<f32>| Ok(vec![(k, v.iter().sum::<f32>())])
+                })
                 .unwrap();
             let mut pairs: Vec<(u64, u32)> = out
                 .into_map()
@@ -1597,12 +1280,9 @@ mod tests {
         let mut eng = engine(2).with_faults(Some(plan)).with_task_retries(2);
         let parts = eng.scatter_inputs(vec![1u64, 2, 3]);
         let err = eng
-            .map_phase(
-                "m",
-                &parts,
-                |_w| |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)]),
-                None,
-            )
+            .map_phase("m", &parts, |_w| {
+                |_c: &mut PhaseCtx, &r: &u64| Ok(vec![(r, 1.0f32)])
+            })
             .unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(err.to_string().contains("map task"), "{err}");
@@ -1619,17 +1299,12 @@ mod tests {
         let parts = eng.scatter_inputs((0..10u64).collect());
         let counts_ref = &counts;
         let keyed = eng
-            .map_phase(
-                "m",
-                &parts,
-                |w| {
-                    move |_c: &mut PhaseCtx, &r: &u64| {
-                        counts_ref[w].fetch_add(1, Ordering::Relaxed);
-                        Ok(vec![(r, 1.0f32)])
-                    }
-                },
-                None,
-            )
+            .map_phase("m", &parts, |w| {
+                move |_c: &mut PhaseCtx, &r: &u64| {
+                    counts_ref[w].fetch_add(1, Ordering::Relaxed);
+                    Ok(vec![(r, 1.0f32)])
+                }
+            })
             .unwrap();
         assert_eq!(keyed.len(), 10);
         let got: Vec<u64> = counts.iter().map(|c| c.load(Ordering::Relaxed)).collect();

@@ -15,18 +15,17 @@
 //! the trade-off the paper describes (more bytes moved, far smaller memory
 //! footprint, elastic workers). The memory model follows suit: a reducer
 //! streams its groups from external storage, so its modelled peak memory is
-//! the *largest single group* plus the combiner buffer, not the whole
-//! partition. A hub node whose in-edge group outgrows the worker's RAM is
-//! therefore an OOM — precisely the failure the partial-gather strategy
-//! prevents.
+//! the *largest single group* plus the row sink's fused accumulators, not
+//! the whole partition. A hub node whose in-edge group outgrows the
+//! worker's RAM is therefore an OOM — precisely the failure the
+//! partial-gather strategy prevents.
 //!
-//! Combining: an optional bounded sender-side combiner folds same-key pairs
-//! before they are counted as shuffle output (Hadoop-style in-mapper
-//! combining with spill-on-capacity), implementing the paper's
-//! partial-gather on this backend.
+//! Partial-gather: the `*_phase_rows` variants move fixed-width `f32` rows
+//! on a columnar plane beside the typed records, and a phase given a
+//! fused aggregator folds same-key rows at the sender before they are
+//! counted as shuffle output (Hadoop-style in-mapper combining on flat
+//! rows), implementing the paper's partial-gather on this backend.
 
 pub mod engine;
 
-pub use engine::{
-    BatchEngine, CombineFn, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView,
-};
+pub use engine::{BatchEngine, KeyedData, KeyedRows, PhaseCtx, RowBucket, RowSink, RowsView};

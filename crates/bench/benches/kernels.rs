@@ -1,14 +1,11 @@
 //! Criterion micro-benchmarks of the hot kernels: GEMM, segment ops, the
-//! wire codec, partition routing, and the partial-gather combiner.
+//! wire codec, and partition routing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use inferturbo_common::codec::{Decode, Encode};
 use inferturbo_common::hash::partition_of;
 use inferturbo_common::Xoshiro256;
 use inferturbo_core::gas::GnnMessage;
-use inferturbo_core::models::gas_impl::WireCombiner;
-use inferturbo_core::models::PoolOp;
-use inferturbo_pregel::Combiner;
 use inferturbo_tensor::Matrix;
 use std::hint::black_box;
 
@@ -50,21 +47,18 @@ fn bench_segment_ops(c: &mut Criterion) {
 fn bench_codec(c: &mut Criterion) {
     let mut g = c.benchmark_group("codec");
     g.sample_size(30);
-    let msg = GnnMessage::Partial {
-        acc: (0..64).map(|i| i as f32 * 0.1).collect(),
-        count: 17,
-    };
-    g.bench_function("encode_partial_64", |bench| {
+    let msg = GnnMessage::Payload((0..64).map(|i| i as f32 * 0.1).collect());
+    g.bench_function("encode_payload_64", |bench| {
         bench.iter(|| black_box(msg.to_bytes()));
     });
     let bytes = msg.to_bytes();
-    g.bench_function("decode_partial_64", |bench| {
+    g.bench_function("decode_payload_64", |bench| {
         bench.iter(|| black_box(GnnMessage::from_bytes(&bytes).unwrap()));
     });
     g.finish();
 }
 
-fn bench_routing_and_combining(c: &mut Criterion) {
+fn bench_routing(c: &mut Criterion) {
     let mut g = c.benchmark_group("routing");
     g.sample_size(30);
     g.bench_function("partition_of_1k_ids", |bench| {
@@ -72,26 +66,6 @@ fn bench_routing_and_combining(c: &mut Criterion) {
             let mut acc = 0usize;
             for id in 0..1000u64 {
                 acc += partition_of(black_box(id), 1000);
-            }
-            black_box(acc)
-        });
-    });
-    let comb = WireCombiner { op: PoolOp::Sum };
-    g.bench_function("wire_combine_64d", |bench| {
-        bench.iter(|| {
-            let mut acc = GnnMessage::Partial {
-                acc: vec![1.0; 64],
-                count: 1,
-            };
-            for _ in 0..100 {
-                let out = comb.combine(
-                    &mut acc,
-                    GnnMessage::Partial {
-                        acc: vec![0.5; 64],
-                        count: 1,
-                    },
-                );
-                debug_assert!(out.is_none());
             }
             black_box(acc)
         });
@@ -104,6 +78,6 @@ criterion_group!(
     bench_gemm,
     bench_segment_ops,
     bench_codec,
-    bench_routing_and_combining
+    bench_routing
 );
 criterion_main!(kernels);

@@ -83,6 +83,19 @@ fn run() -> Result<()> {
         .and_then(|v| v.parse().ok())
         .unwrap_or(if smoke { 0.02 } else { 0.5 });
 
+    // Prerequisite of engine/pregel_sage2_3k_xproc: the process transport
+    // spawns the `itworker` binary. Check it resolves before the first
+    // measurement, so a missing build fails fast with the fix named.
+    let xproc = WorkerProcess::new();
+    if !xproc.worker_bin().is_some_and(|bin| bin.exists()) {
+        return Err(Error::InvalidConfig(
+            "transport worker binary `itworker` not found next to parbench; build it with \
+             `cargo build --release -p inferturbo-cluster --bin itworker` \
+             or set INFERTURBO_WORKER_BIN"
+                .into(),
+        ));
+    }
+
     let g = generate(&GenConfig {
         n_nodes: 3_000,
         n_edges: 30_000,
@@ -141,15 +154,14 @@ fn run() -> Result<()> {
     // of in-process moves. Logits and traces are bit-identical to
     // engine/session_reuse_3k (the transport_equivalence suite enforces
     // it); the entry measures the frame-codec + pipe cost of the process
-    // transport. Requires the `itworker` binary next to this one (any
-    // workspace build produces both).
+    // transport. Requires the `itworker` binary (checked above).
     let xproc_session = InferenceSession::builder()
         .model(&model)
         .graph(&g)
         .pregel_spec(pregel_spec)
         .strategy(StrategyConfig::all())
         .backend(Backend::Pregel)
-        .transport(std::sync::Arc::new(WorkerProcess::new()))
+        .transport(std::sync::Arc::new(xproc))
         .plan()?;
 
     // Recovery workload: the same planned session with a checkpoint taken

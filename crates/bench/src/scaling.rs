@@ -181,7 +181,6 @@ pub fn run(ctx: &ExpCtx) -> Result<()> {
             "materialized",
             StrategyConfig::all().with_partial_gather(false),
         ),
-        ("legacy-plane", StrategyConfig::all().with_columnar(false)),
     ];
     for (cfg_name, strat) in configs {
         let session = |backend| {

@@ -78,7 +78,7 @@ use inferturbo_common::rows::{
 };
 use inferturbo_common::{Error, Result};
 use std::fmt;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Mutex;
 
 use crate::fault::FaultInjector;
@@ -353,6 +353,13 @@ impl WorkerProcess {
             bin: Some(bin),
             pool: Mutex::new(Vec::new()),
         }
+    }
+
+    /// The worker binary this transport will spawn, or `None` when none
+    /// was found. Lets a harness check its prerequisites before the first
+    /// exchange instead of failing midway through a run.
+    pub fn worker_bin(&self) -> Option<&Path> {
+        self.bin.as_deref()
     }
 
     fn checkout(&self) -> Result<spawn::WorkerHandle> {

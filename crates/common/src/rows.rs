@@ -1087,8 +1087,8 @@ impl FusedRows {
 
     /// Merge per-sender fused shards into one dense accumulator set, in
     /// ascending sender order, each shard in first-touch order — the exact
-    /// order the legacy combiner path delivers partials, so results are
-    /// bit-identical to it. Copy-on-first: a slot's first partial is
+    /// order a sender-side combiner on the typed plane delivers partials,
+    /// so results are bit-identical to it. Copy-on-first: a slot's first partial is
     /// copied, later partials fold through `agg`. The fully-folded
     /// accumulators then spill under `spill` — fold order is fixed before
     /// any byte reaches disk.

@@ -20,9 +20,10 @@
 //! - `apply_edge` — turn the updated state (+ edge features) into the
 //!   message for an out-edge.
 //!
-//! [`GnnMessage`] is the on-the-wire envelope: a partially-aggregated
-//! payload, a raw embedding (union-aggregated layers such as GAT), or a
-//! reference to a broadcast payload (the large-out-degree strategy).
+//! Per-edge messages travel as fixed-width `f32` rows on the engines'
+//! columnar plane. [`GnnMessage`] is the typed envelope for the one GNN
+//! payload that does not: a hub's broadcast payload and the per-edge
+//! references to it (the large-out-degree strategy).
 
 use inferturbo_common::codec::{Decode, Encode, WireReader, WireWriter};
 use inferturbo_common::{Error, Result};
@@ -127,46 +128,27 @@ pub trait GasLayer {
     fn flops_apply_edge(&self) -> f64;
 }
 
-/// On-the-wire message envelope exchanged between vertices.
+/// Typed wire envelope for the broadcast strategy: a hub publishes one
+/// [`GnnMessage::Payload`] per worker and sends one [`GnnMessage::Ref`]
+/// per out-edge. Every other GNN message is a columnar row.
 #[derive(Debug, Clone, PartialEq)]
 pub enum GnnMessage {
-    /// Partially aggregated payload (partial-gather path). `count` carries
-    /// the number of folded raw messages so mean aggregation stays exact.
-    Partial { acc: Vec<f32>, count: u32 },
-    /// A raw embedding message (union-aggregated layers, or partial-gather
-    /// disabled).
-    Embedding(Vec<f32>),
-    /// Reference to a broadcast payload published by vertex `0`'s wire id —
-    /// the large-out-degree strategy sends one payload per worker plus one
-    /// of these per edge.
+    /// A hub's raw `apply_edge` output, published to every worker's
+    /// broadcast table. Gather folds it like one columnar row.
+    Payload(Vec<f32>),
+    /// Reference to the broadcast payload published by the vertex with
+    /// this wire id.
     Ref(u64),
 }
 
-impl GnnMessage {
-    /// Payload width in f32 lanes (0 for refs).
-    pub fn width(&self) -> usize {
-        match self {
-            GnnMessage::Partial { acc, .. } => acc.len(),
-            GnnMessage::Embedding(v) => v.len(),
-            GnnMessage::Ref(_) => 0,
-        }
-    }
-}
-
-const TAG_PARTIAL: u8 = 1;
-const TAG_EMBEDDING: u8 = 2;
+const TAG_PAYLOAD: u8 = 2;
 const TAG_REF: u8 = 3;
 
 impl Encode for GnnMessage {
     fn encode(&self, w: &mut WireWriter) {
         match self {
-            GnnMessage::Partial { acc, count } => {
-                w.put_u8(TAG_PARTIAL);
-                w.put_varint(*count as u64);
-                w.put_f32_slice(acc);
-            }
-            GnnMessage::Embedding(v) => {
-                w.put_u8(TAG_EMBEDDING);
+            GnnMessage::Payload(v) => {
+                w.put_u8(TAG_PAYLOAD);
                 w.put_f32_slice(v);
             }
             GnnMessage::Ref(src) => {
@@ -179,10 +161,7 @@ impl Encode for GnnMessage {
     fn encoded_len(&self) -> usize {
         use inferturbo_common::codec::varint_len;
         match self {
-            GnnMessage::Partial { acc, count } => {
-                1 + varint_len(*count as u64) + varint_len(acc.len() as u64) + acc.len() * 4
-            }
-            GnnMessage::Embedding(v) => 1 + varint_len(v.len() as u64) + v.len() * 4,
+            GnnMessage::Payload(v) => 1 + varint_len(v.len() as u64) + v.len() * 4,
             GnnMessage::Ref(src) => 1 + varint_len(*src),
         }
     }
@@ -191,23 +170,17 @@ impl Encode for GnnMessage {
 impl Decode for GnnMessage {
     fn decode(r: &mut WireReader<'_>) -> Result<Self> {
         match r.get_u8()? {
-            TAG_PARTIAL => {
-                let count = r.get_varint()? as u32;
-                let acc = r.get_f32_vec()?;
-                Ok(GnnMessage::Partial { acc, count })
-            }
-            TAG_EMBEDDING => Ok(GnnMessage::Embedding(r.get_f32_vec()?)),
+            TAG_PAYLOAD => Ok(GnnMessage::Payload(r.get_f32_vec()?)),
             TAG_REF => Ok(GnnMessage::Ref(r.get_varint()?)),
             tag => Err(Error::Codec(format!("unknown GnnMessage tag {tag}"))),
         }
     }
 }
 
-/// Element-wise fold used by pooled aggregates; shared by layer impls,
-/// the wire-level combiner, and the fused row aggregator so the three can
-/// never disagree. The folds go through the 8-wide-unrolled row kernels
-/// (`row_axpy` / `row_max`), which are bit-identical to the scalar loops
-/// — lanes are independent.
+/// Element-wise fold used by pooled aggregates; shared by layer impls and
+/// the fused row aggregator so the two can never disagree. The folds go
+/// through the 8-wide-unrolled row kernels (`row_axpy` / `row_max`), which
+/// are bit-identical to the scalar loops — lanes are independent.
 pub fn pooled_fold(
     op: crate::models::PoolOp,
     acc: &mut Vec<f32>,
@@ -238,13 +211,11 @@ mod tests {
     #[test]
     fn message_roundtrip() {
         let msgs = vec![
-            GnnMessage::Partial {
-                acc: vec![1.0, -2.5],
-                count: 7,
-            },
-            GnnMessage::Embedding(vec![0.5; 9]),
+            GnnMessage::Payload(vec![1.0, -2.5]),
+            GnnMessage::Payload(vec![0.5; 9]),
             GnnMessage::Ref(u64::MAX),
-            GnnMessage::Embedding(vec![]),
+            GnnMessage::Ref(0),
+            GnnMessage::Payload(vec![]),
         ];
         for m in msgs {
             let bytes = m.to_bytes();
@@ -261,9 +232,12 @@ mod tests {
 
     #[test]
     fn ref_is_tiny_on_the_wire() {
-        let embedding = GnnMessage::Embedding(vec![0.0; 64]);
+        // tag + length varint + 64 lanes; tag + 3-byte id varint.
+        let payload = GnnMessage::Payload(vec![0.0; 64]);
+        assert_eq!(payload.encoded_len(), 1 + 1 + 64 * 4);
         let r = GnnMessage::Ref(123456);
-        assert!(r.encoded_len() * 10 < embedding.encoded_len());
+        assert_eq!(r.encoded_len(), 1 + 3);
+        assert!(r.encoded_len() * 10 < payload.encoded_len());
     }
 
     #[test]
@@ -310,9 +284,12 @@ mod tests {
         }
 
         #[test]
-        fn prop_message_roundtrip(v in proptest::collection::vec(-1e3f32..1e3, 0..64), c in 0u32..1000) {
-            let m = GnnMessage::Partial { acc: v, count: c };
-            prop_assert_eq!(GnnMessage::from_bytes(&m.to_bytes()).unwrap(), m);
+        fn prop_message_roundtrip(v in proptest::collection::vec(-1e3f32..1e3, 0..64), src in 0u64..u64::MAX) {
+            for m in [GnnMessage::Payload(v.clone()), GnnMessage::Ref(src)] {
+                let bytes = m.to_bytes();
+                prop_assert_eq!(bytes.len(), m.encoded_len());
+                prop_assert_eq!(GnnMessage::from_bytes(&bytes).unwrap(), m);
+            }
         }
     }
 }

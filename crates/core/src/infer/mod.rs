@@ -4,8 +4,8 @@
 //! [`crate::gas::GasLayer`] kernels:
 //!
 //! - [`infer_pregel`] — the Pregel backend: state in worker memory, one
-//!   superstep per layer, combiners for partial-gather, engine broadcast
-//!   for the large-out-degree strategy;
+//!   superstep per layer, fused row aggregation for partial-gather,
+//!   engine broadcast for the large-out-degree strategy;
 //! - [`infer_mapreduce`] — the MapReduce backend: no resident state,
 //!   everything (self state, out-edge tables, messages) travels through
 //!   the shuffle each round;
@@ -192,34 +192,36 @@ mod tests {
     #[test]
     fn every_strategy_combination_preserves_predictions() {
         // The paper's central strategy claim: partial-gather, broadcast and
-        // shadow-nodes change the cost profile, never the math.
+        // shadow-nodes change the cost profile, never the math. Every pool
+        // op runs, so hub payloads fold through each aggregate kind.
         let g = test_graph(DegreeSkew::Out);
-        let m = GnnModel::sage(5, 8, 2, 3, false, PoolOp::Mean, 9);
-        let want = infer_reference(&m, &g).expect("reference");
-        let spec = ClusterSpec::pregel_cluster(8);
-        for pg in [false, true] {
-            for bc in [false, true] {
-                for sn in [false, true] {
-                    let strat = StrategyConfig::none()
-                        .with_partial_gather(pg)
-                        .with_broadcast(bc)
-                        .with_shadow_nodes(sn)
-                        .with_threshold(5);
-                    let out = infer_pregel(&m, &g, spec, strat).unwrap();
-                    assert_logits_close(
-                        &format!("pregel pg={pg} bc={bc} sn={sn}"),
-                        &out.logits,
-                        &want,
-                        1e-3,
-                    );
-                    let out =
-                        infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(8), strat).unwrap();
-                    assert_logits_close(
-                        &format!("mr pg={pg} bc={bc} sn={sn}"),
-                        &out.logits,
-                        &want,
-                        1e-3,
-                    );
+        for (name, m) in models() {
+            let want = infer_reference(&m, &g).expect("reference");
+            for pg in [false, true] {
+                for bc in [false, true] {
+                    for sn in [false, true] {
+                        let strat = StrategyConfig::none()
+                            .with_partial_gather(pg)
+                            .with_broadcast(bc)
+                            .with_shadow_nodes(sn)
+                            .with_threshold(5);
+                        let out =
+                            infer_pregel(&m, &g, ClusterSpec::pregel_cluster(8), strat).unwrap();
+                        assert_logits_close(
+                            &format!("{name} pregel pg={pg} bc={bc} sn={sn}"),
+                            &out.logits,
+                            &want,
+                            1e-3,
+                        );
+                        let out = infer_mapreduce(&m, &g, ClusterSpec::mapreduce_cluster(8), strat)
+                            .unwrap();
+                        assert_logits_close(
+                            &format!("{name} mr pg={pg} bc={bc} sn={sn}"),
+                            &out.logits,
+                            &want,
+                            1e-3,
+                        );
+                    }
                 }
             }
         }

@@ -9,7 +9,7 @@
 use super::{matvec_acc, GnnModel, LayerKind, LayerParams, PoolOp};
 use crate::gas::{pooled_fold, AggState, EdgeCtx, GasLayer, GnnMessage, LayerAnnotations, NodeCtx};
 use inferturbo_common::{Error, Result};
-use inferturbo_pregel::{Combiner, FusedAggregator, RowsIn};
+use inferturbo_pregel::{FusedAggregator, RowsIn};
 use inferturbo_tensor::{row_axpy, row_max};
 
 /// GAT attention slope — fixed constant, must match the tape builder.
@@ -44,15 +44,8 @@ impl<'m> LayerView<'m> {
         }
     }
 
-    /// Wire-level combiner implementing partial-gather for this layer, if
+    /// Fused row aggregator implementing partial-gather for this layer, if
     /// its aggregate is commutative/associative.
-    pub fn wire_combiner(&self) -> Option<WireCombiner> {
-        self.pool_op().map(|op| WireCombiner { op })
-    }
-
-    /// Fused row aggregator for the columnar plane, if this layer's
-    /// aggregate is commutative/associative — the columnar counterpart of
-    /// [`LayerView::wire_combiner`], folding through the same kernels.
     pub fn row_aggregator(&self) -> Option<PoolRowAggregator> {
         self.pool_op().map(|op| PoolRowAggregator { op })
     }
@@ -107,19 +100,9 @@ impl<'m> LayerView<'m> {
         }
     }
 
-    /// Wrap a raw `apply_edge` output for the wire. With partial-gather
-    /// enabled (and annotated), messages travel as one-element partial
-    /// aggregates so senders can fold them.
-    pub fn make_wire(&self, raw: Vec<f32>, partial_enabled: bool) -> GnnMessage {
-        if partial_enabled && self.annotations().partial_gather {
-            GnnMessage::Partial { acc: raw, count: 1 }
-        } else {
-            GnnMessage::Embedding(raw)
-        }
-    }
-
-    /// Fold one wire message into the gather aggregate, resolving broadcast
-    /// references through `lookup`.
+    /// Fold one typed wire message into the gather aggregate, resolving
+    /// broadcast references through `lookup`. A hub payload is one raw
+    /// message, so it folds exactly like a materialized columnar row.
     pub fn gather_wire(
         &self,
         agg: &mut AggState,
@@ -127,23 +110,22 @@ impl<'m> LayerView<'m> {
         lookup: &dyn Fn(u64) -> Option<GnnMessage>,
     ) -> Result<()> {
         match msg {
-            GnnMessage::Partial { acc, count } => {
-                self.merge_agg(agg, AggState::Pooled { acc, count });
+            GnnMessage::Payload(row) => {
+                self.gather_row(agg, &row, 1);
                 Ok(())
             }
-            GnnMessage::Embedding(v) => {
-                self.aggregate(agg, v);
-                Ok(())
-            }
-            GnnMessage::Ref(src) => {
-                let resolved = lookup(src).ok_or_else(|| {
-                    Error::InvalidGraph(format!("dangling broadcast ref to {src}"))
-                })?;
-                if matches!(resolved, GnnMessage::Ref(_)) {
-                    return Err(Error::InvalidGraph("broadcast ref to a ref".into()));
+            GnnMessage::Ref(src) => match lookup(src) {
+                Some(GnnMessage::Payload(row)) => {
+                    self.gather_row(agg, &row, 1);
+                    Ok(())
                 }
-                self.gather_wire(agg, resolved, lookup)
-            }
+                Some(GnnMessage::Ref(_)) => {
+                    Err(Error::InvalidGraph("broadcast ref to a ref".into()))
+                }
+                None => Err(Error::InvalidGraph(format!(
+                    "dangling broadcast ref to {src}"
+                ))),
+            },
         }
     }
 }
@@ -363,7 +345,8 @@ impl GasLayer for LayerView<'_> {
 /// mean divides at `apply_node` using the engine-tracked count) or max,
 /// through the 8-wide-unrolled tensor kernels. Bit-identical to
 /// [`pooled_fold`]'s non-empty branch, which is what makes the engine's
-/// fused scatter-aggregation reproduce the legacy combiner path exactly.
+/// fused scatter-aggregation reproduce a sender-side combiner fold over
+/// the same rows exactly.
 pub struct PoolRowAggregator {
     pub op: PoolOp,
 }
@@ -393,39 +376,6 @@ impl FusedAggregator for PoolRowAggregator {
             PoolOp::Max => Some(inferturbo_common::rows::AggKind::Max),
         }
     }
-}
-
-/// Wire-level partial-gather combiner: folds `Partial` messages heading to
-/// the same destination; anything else overflows. If the held anchor is not
-/// a `Partial` but the incoming message is, they swap, so the anchor always
-/// ends up combinable.
-pub struct WireCombiner {
-    pub op: PoolOp,
-}
-
-impl Combiner<GnnMessage> for WireCombiner {
-    fn combine(&self, acc: &mut GnnMessage, msg: GnnMessage) -> Option<GnnMessage> {
-        match (&mut *acc, msg) {
-            (
-                GnnMessage::Partial { acc: a, count: c },
-                GnnMessage::Partial { acc: b, count: c2 },
-            ) => {
-                pooled_fold(self.op, a, c, &b, c2);
-                None
-            }
-            (anchor, msg @ GnnMessage::Partial { .. }) => {
-                // Swap so the combinable variant anchors future folds.
-                Some(std::mem::replace(anchor, msg))
-            }
-            (_, other) => Some(other),
-        }
-    }
-}
-
-/// Convenience free function mirroring [`WireCombiner`] for the batch
-/// backend's `&dyn Fn` combiner parameter.
-pub fn combine_wire(op: PoolOp, acc: &mut GnnMessage, msg: GnnMessage) -> Option<GnnMessage> {
-    WireCombiner { op }.combine(acc, msg)
 }
 
 #[cfg(test)]
@@ -562,55 +512,10 @@ mod tests {
     }
 
     #[test]
-    fn wire_combiner_folds_partials_and_rejects_refs() {
-        let comb = WireCombiner { op: PoolOp::Sum };
-        let mut acc = GnnMessage::Partial {
-            acc: vec![1.0, 1.0],
-            count: 1,
-        };
-        let overflow = comb.combine(
-            &mut acc,
-            GnnMessage::Partial {
-                acc: vec![2.0, 3.0],
-                count: 2,
-            },
-        );
-        assert!(overflow.is_none());
-        assert_eq!(
-            acc,
-            GnnMessage::Partial {
-                acc: vec![3.0, 4.0],
-                count: 3
-            }
-        );
-        let overflow = comb.combine(&mut acc, GnnMessage::Ref(7));
-        assert_eq!(overflow, Some(GnnMessage::Ref(7)));
-    }
-
-    #[test]
-    fn wire_combiner_swaps_anchor_to_combinable() {
-        let comb = WireCombiner { op: PoolOp::Sum };
-        let mut acc = GnnMessage::Ref(9);
-        let overflow = comb.combine(
-            &mut acc,
-            GnnMessage::Partial {
-                acc: vec![1.0],
-                count: 1,
-            },
-        );
-        // Ref overflows, Partial becomes the anchor.
-        assert_eq!(overflow, Some(GnnMessage::Ref(9)));
-        assert!(matches!(acc, GnnMessage::Partial { .. }));
-    }
-
-    #[test]
     fn gather_wire_resolves_refs() {
         let m = sage_model();
         let layer = m.layer_view(0);
-        let payload = GnnMessage::Partial {
-            acc: vec![1.0, 2.0, 3.0, 4.0],
-            count: 1,
-        };
+        let payload = GnnMessage::Payload(vec![1.0, 2.0, 3.0, 4.0]);
         let lookup = move |src: u64| {
             if src == 42 {
                 Some(payload.clone())
@@ -627,25 +532,5 @@ mod tests {
             .gather_wire(&mut agg, GnnMessage::Ref(99), &lookup)
             .unwrap_err();
         assert!(err.to_string().contains("dangling"));
-    }
-
-    #[test]
-    fn make_wire_respects_annotations_and_strategy() {
-        let sage = sage_model();
-        let gat = GnnModel::gat(4, 6, 2, 1, 3, false, 1);
-        let raw = vec![1.0, 2.0];
-        assert!(matches!(
-            sage.layer_view(0).make_wire(raw.clone(), true),
-            GnnMessage::Partial { .. }
-        ));
-        assert!(matches!(
-            sage.layer_view(0).make_wire(raw.clone(), false),
-            GnnMessage::Embedding(_)
-        ));
-        // GAT never partials, even with the strategy enabled.
-        assert!(matches!(
-            gat.layer_view(0).make_wire(raw, true),
-            GnnMessage::Embedding(_)
-        ));
     }
 }

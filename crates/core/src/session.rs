@@ -4,7 +4,7 @@
 //! graph (hub classification, shadow-node mirroring), pick a backend
 //! (Pregel while state fits in memory, MapReduce when it does not), then
 //! run layer-as-superstep inference. This module exposes those stages as
-//! a three-step API instead of the legacy free functions that re-derived
+//! a three-step API instead of one-shot free functions that re-derive
 //! everything per call:
 //!
 //! ```text
@@ -42,7 +42,7 @@
 //! the session's own:
 //!
 //! - repeated [`InferencePlan::run`] calls on one plan are **bit-identical**
-//!   to each other and to the legacy one-shot drivers
+//!   to each other and to the one-shot wrapper functions
 //!   ([`infer_pregel`](crate::infer_pregel),
 //!   [`infer_mapreduce`](crate::infer_mapreduce),
 //!   [`infer_reference`](crate::infer_reference)) for the same

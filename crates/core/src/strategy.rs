@@ -6,8 +6,9 @@
 //!
 //! - **partial-gather** — fold messages sender-side per destination; legal
 //!   exactly when the layer's `aggregate` is annotated
-//!   commutative/associative. Implemented by the engines' combiners; this
-//!   module only carries the toggle.
+//!   commutative/associative. Implemented by the engines' fused row
+//!   aggregation on the columnar message plane; this module only carries
+//!   the toggle.
 //! - **broadcast** — a node with many out-edges and a uniform message
 //!   publishes one payload per worker plus an 8-byte reference per edge.
 //! - **shadow-nodes** — a node with many out-edges is split into mirrors,
@@ -37,12 +38,6 @@ pub struct StrategyConfig {
     /// Fixed threshold overriding the heuristic (used by the Fig. 12/13
     /// threshold sweeps).
     pub threshold_override: Option<u32>,
-    /// Route fixed-width GNN messages through the engines' columnar
-    /// zero-copy plane (default). Not a paper strategy but an engine
-    /// execution mode: disabling forces the legacy per-object message
-    /// path, which the equivalence suite uses to pin the planes against
-    /// each other.
-    pub columnar: bool,
 }
 
 impl Default for StrategyConfig {
@@ -52,8 +47,7 @@ impl Default for StrategyConfig {
 }
 
 impl StrategyConfig {
-    /// All strategies off (the experiments' "Base"). The columnar plane
-    /// stays on: it is an execution mode, not a traffic strategy.
+    /// All strategies off (the experiments' "Base").
     pub fn none() -> Self {
         StrategyConfig {
             partial_gather: false,
@@ -61,7 +55,6 @@ impl StrategyConfig {
             shadow_nodes: false,
             lambda: 0.1,
             threshold_override: None,
-            columnar: true,
         }
     }
 
@@ -73,7 +66,6 @@ impl StrategyConfig {
             shadow_nodes: true,
             lambda: 0.1,
             threshold_override: None,
-            columnar: true,
         }
     }
 
@@ -94,11 +86,6 @@ impl StrategyConfig {
 
     pub fn with_threshold(mut self, t: u32) -> Self {
         self.threshold_override = Some(t);
-        self
-    }
-
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
         self
     }
 
@@ -128,7 +115,6 @@ impl StrategyConfig {
             shadow_nodes: self.shadow_nodes,
             lambda_bits,
             threshold_override: self.threshold_override,
-            columnar: self.columnar,
         }
     }
 
@@ -161,7 +147,6 @@ pub struct StrategyKey {
     /// `StrategyConfig::lambda` as its IEEE-754 bit pattern.
     pub lambda_bits: u64,
     pub threshold_override: Option<u32>,
-    pub columnar: bool,
 }
 
 // --- wire-id scheme ---------------------------------------------------------

@@ -12,11 +12,14 @@
 //!
 //! # Message planes
 //!
-//! Two planes carry traffic between supersteps:
+//! Two planes carry traffic between supersteps; the program picks per
+//! step which messages ride which:
 //!
 //! - the **legacy typed plane**: `P::Msg` values in a flat per-worker
 //!   arena (`InboxArena`: one `Vec<Msg>` plus per-slot offsets) rebuilt
-//!   each superstep with a counting scatter;
+//!   each superstep with a counting scatter. It carries variable-width
+//!   messages (broadcast refs, control payloads) and every message of a
+//!   program that declares no layout (PageRank, SSSP);
 //! - the **columnar plane**: when the program declares a
 //!   [`MessageLayout`](crate::vertex::MessageLayout) for the emitting
 //!   step, fixed-width `f32` rows move through flat per-(sender ×
@@ -37,13 +40,15 @@
 //! The columnar plane preserves the engine-wide rule that parallel
 //! execution is observably identical to serial for every thread count,
 //! and adds a stronger guarantee: the fused path is **bit-identical** to
-//! the legacy combiner path. Both fold a sender's rows per destination in
-//! emission order (copy-on-first, so the first row is taken verbatim) and
-//! both merge per-destination partials in ascending sender order with one
-//! lane-wise fold per partial. Materialized (non-fused) rows are sealed in
-//! ascending sender order, emission order within a sender — the exact
-//! delivery order of the legacy arena — so a program folding its row slice
-//! front-to-back reproduces the legacy per-message fold bit-for-bit.
+//! sending the same rows as typed messages through an equivalent
+//! [`Combiner`](crate::vertex::Combiner). Both fold a sender's rows per
+//! destination in emission order (copy-on-first, so the first row is taken
+//! verbatim) and both merge per-destination partials in ascending sender
+//! order with one lane-wise fold per partial. Materialized (non-fused)
+//! rows are sealed in ascending sender order, emission order within a
+//! sender — the exact delivery order of the typed arena — so a program
+//! folding its row slice front-to-back reproduces a per-message fold
+//! bit-for-bit.
 
 use crate::vertex::{ActivationPolicy, Outbox, RowsIn, VertexProgram};
 use inferturbo_cluster::transport::{
@@ -88,12 +93,6 @@ pub struct PregelConfig {
     /// *accounting* is identical in both modes. Columnar rows are exempt:
     /// they are already flat `f32` wire layout by construction.
     pub serialized_delivery: bool,
-    /// Route declared fixed-width messages through the columnar plane
-    /// (default). Disabling forces every message onto the legacy typed
-    /// plane — programs observe `row_dim() == None` and fall back — which
-    /// is how the equivalence suite pins the two planes against each
-    /// other.
-    pub columnar: bool,
     /// Out-of-core policy for the columnar inter-superstep inboxes. When
     /// set, each worker's sealed [`RowArena`] / merged [`FusedRows`] whose
     /// row data exceeds `budget_bytes` pages to disk and streams back
@@ -142,7 +141,6 @@ impl PregelConfig {
             activation: ActivationPolicy::AlwaysActive,
             partition_fn: partition_of,
             serialized_delivery: false,
-            columnar: true,
             spill: None,
             faults,
             recovery,
@@ -169,11 +167,6 @@ impl PregelConfig {
 
     pub fn with_serialized_delivery(mut self, on: bool) -> Self {
         self.serialized_delivery = on;
-        self
-    }
-
-    pub fn with_columnar(mut self, on: bool) -> Self {
-        self.columnar = on;
         self
     }
 
@@ -474,8 +467,8 @@ fn row_wire_len(dim: usize, dst: u64) -> u64 {
     (row_payload_len(dim, None) + varint_len(dst)) as u64
 }
 
-/// Wire length of a fused partial row (carries its fold count, like a
-/// legacy partial-aggregate message).
+/// Wire length of a fused partial row (carries its fold count, so a mean
+/// still divides by the number of raw messages).
 fn fused_row_wire_len(dim: usize, count: u32, dst: u64) -> u64 {
     (row_payload_len(dim, Some(count)) + varint_len(dst)) as u64
 }
@@ -794,19 +787,15 @@ impl<P: VertexProgram> PregelEngine<P> {
         let phase_name = format!("superstep-{step}");
 
         // Resolve this step's emit plane from the program's declarations.
-        let emit: EmitPlane<'_> = if self.config.columnar {
-            match self.program.message_layout(step) {
-                None => EmitPlane::Legacy,
-                Some(layout) => match self.program.fused_aggregator(step) {
-                    Some(agg) => EmitPlane::Fused {
-                        dim: layout.dim,
-                        agg,
-                    },
-                    None => EmitPlane::Rows { dim: layout.dim },
+        let emit: EmitPlane<'_> = match self.program.message_layout(step) {
+            None => EmitPlane::Legacy,
+            Some(layout) => match self.program.fused_aggregator(step) {
+                Some(agg) => EmitPlane::Fused {
+                    dim: layout.dim,
+                    agg,
                 },
-            }
-        } else {
-            EmitPlane::Legacy
+                None => EmitPlane::Rows { dim: layout.dim },
+            },
         };
         let dest_sizes: Vec<usize> = self.workers.iter().map(Vec::len).collect();
 
@@ -1317,7 +1306,7 @@ fn run_worker<P: VertexProgram>(
                     }
                     (EmitPlane::Fused { agg, .. }, ColsOut::Fused(shards)) => {
                         // Accounting happens at flush, one record per
-                        // accumulated row — like the legacy combiner.
+                        // accumulated row — like a typed-plane combiner.
                         if shards[w2].accumulate(slot, row, 1, *agg) {
                             fused_dsts[w2].push(dst);
                         }
@@ -1798,11 +1787,12 @@ mod tests {
     /// Feature aggregation on the columnar plane: step 0 scatters each
     /// vertex's dim-3 feature row to its neighbours, step 1 stores the
     /// copy-first sum (and raw message count) in the state. Works on every
-    /// plane: fused rows, materialized rows, and — when the engine runs
-    /// with the columnar plane disabled — legacy `Vec<f32>` messages,
-    /// which makes it the cross-plane equivalence probe.
+    /// plane: fused rows, materialized rows, and — with `rows` off, so it
+    /// declares no layout — typed `Vec<f32>` messages, which makes it the
+    /// cross-plane equivalence probe.
     struct RowProg {
         fused: bool,
+        rows: bool,
     }
 
     #[derive(Clone)]
@@ -1913,7 +1903,7 @@ mod tests {
         }
 
         fn message_layout(&self, step: usize) -> Option<MessageLayout> {
-            (step == 0).then_some(MessageLayout { dim: DIM })
+            (self.rows && step == 0).then_some(MessageLayout { dim: DIM })
         }
 
         fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
@@ -1933,13 +1923,15 @@ mod tests {
         }
     }
 
-    fn row_engine(workers: usize, fused: bool, columnar: bool) -> PregelEngine<RowProg> {
-        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers)).with_columnar(columnar);
-        row_engine_with(cfg, fused)
+    /// `rows = false` runs the same program on the typed plane only — the
+    /// bit-identity reference for the row plane.
+    fn row_engine(workers: usize, fused: bool, rows: bool) -> PregelEngine<RowProg> {
+        let cfg = PregelConfig::new(ClusterSpec::test_spec(workers));
+        row_engine_with(cfg, fused, rows)
     }
 
-    fn row_engine_with(cfg: PregelConfig, fused: bool) -> PregelEngine<RowProg> {
-        let mut eng = PregelEngine::new(RowProg { fused }, cfg);
+    fn row_engine_with(cfg: PregelConfig, fused: bool, rows: bool) -> PregelEngine<RowProg> {
+        let mut eng = PregelEngine::new(RowProg { fused, rows }, cfg);
         // 8 vertices; several share in-neighbours across workers so fused
         // merging actually folds multiple sender partials per slot.
         let adj: Vec<(u64, Vec<u64>)> = vec![
@@ -2032,7 +2024,7 @@ mod tests {
         );
         // Legacy plane stays idle for a pure-row program.
         assert_eq!(fb.legacy, 0);
-        // With the plane disabled, everything is legacy bytes.
+        // With no layout declared, everything is legacy bytes.
         let mut off = row_engine(3, true, false);
         off.run(2).unwrap();
         let ob = off.report().message_bytes;
@@ -2051,7 +2043,7 @@ mod tests {
             let mut plain = row_engine(3, fused, true);
             plain.run(2).unwrap();
             let cfg = PregelConfig::new(ClusterSpec::test_spec(3)).with_spill(Some(spill.clone()));
-            let mut spilling = row_engine_with(cfg, fused);
+            let mut spilling = row_engine_with(cfg, fused, true);
             spilling.run(2).unwrap();
             assert_eq!(
                 agg_bits(&plain),
@@ -2166,14 +2158,14 @@ mod tests {
                 // Explicitly fault-free baseline (immune to a CI-forced
                 // INFERTURBO_FAULTS schedule).
                 let plain_cfg = PregelConfig::unfaulted(ClusterSpec::test_spec(workers));
-                let mut plain = row_engine_with(plain_cfg, fused);
+                let mut plain = row_engine_with(plain_cfg, fused, true);
                 plain.run(2).unwrap();
                 let plan =
                     FaultPlan::new().and_fail(FaultSite::WorkerCompute { worker: 1, step: 1 });
                 let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
                     .with_faults(Some(plan))
                     .with_recovery(Some(RecoveryPolicy::new(1, 3)));
-                let mut faulty = row_engine_with(cfg, fused);
+                let mut faulty = row_engine_with(cfg, fused, true);
                 faulty.run(2).unwrap();
                 assert_eq!(
                     agg_bits(&plain),
@@ -2204,7 +2196,7 @@ mod tests {
         for fused in [true, false] {
             let plain_cfg =
                 PregelConfig::new(ClusterSpec::test_spec(3)).with_spill(Some(spill.clone()));
-            let mut plain = row_engine_with(plain_cfg, fused);
+            let mut plain = row_engine_with(plain_cfg, fused, true);
             plain.run(2).unwrap();
             let plan = FaultPlan::new()
                 .and_fail(FaultSite::SealBarrier { worker: 2, step: 0 })
@@ -2214,7 +2206,7 @@ mod tests {
                 .with_spill(Some(spill.clone()))
                 .with_faults(Some(plan))
                 .with_recovery(Some(RecoveryPolicy::new(1, 3)));
-            let mut faulty = row_engine_with(cfg, fused);
+            let mut faulty = row_engine_with(cfg, fused, true);
             faulty.run(2).unwrap();
             assert_eq!(
                 agg_bits(&plain),
@@ -2238,7 +2230,7 @@ mod tests {
         let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
             .with_faults(Some(plan.clone()))
             .with_recovery(Some(RecoveryPolicy::new(1, 2)));
-        let mut eng = row_engine_with(cfg, false);
+        let mut eng = row_engine_with(cfg, false, true);
         let err = eng.run(2).unwrap_err();
         assert!(err.is_transient(), "{err}");
         assert!(err.to_string().contains("superstep 1"), "{err}");
@@ -2252,7 +2244,7 @@ mod tests {
         let cfg = PregelConfig::new(ClusterSpec::test_spec(3))
             .with_faults(Some(plan))
             .with_recovery(None);
-        let mut eng = row_engine_with(cfg, false);
+        let mut eng = row_engine_with(cfg, false, true);
         let err = eng.run(2).unwrap_err();
         assert!(err.to_string().contains("superstep 1"), "{err}");
         assert_eq!(eng.report().retries, 0);

@@ -146,9 +146,9 @@ impl<M> Outbox<M> {
     }
 
     /// Row width of the active columnar plane for this step, or `None`
-    /// when the step has no declared [`MessageLayout`] (or the engine runs
-    /// with the columnar plane disabled). Programs branch on this to pick
-    /// between [`Outbox::send_row`] and the legacy [`Outbox::send`].
+    /// when the program declared no [`MessageLayout`] for the step. A
+    /// program that declares layouts conditionally branches on this to
+    /// pick between [`Outbox::send_row`] and the legacy [`Outbox::send`].
     pub fn row_dim(&self) -> Option<usize> {
         self.row_dim
     }

@@ -19,6 +19,8 @@ SECS="${BENCH_SECS:-0.5}"
 
 echo "== building (release) =="
 cargo build --release --offline -p inferturbo-bench
+# parbench's engine/pregel_sage2_3k_xproc spawns the release `itworker`.
+cargo build --release --offline -p inferturbo-cluster --bin itworker
 
 echo "== parbench: serial vs ${THREADS} threads -> ${OUT} =="
 cargo run --release --offline -p inferturbo-bench --bin parbench -- \

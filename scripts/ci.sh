@@ -84,6 +84,9 @@ INFERTURBO_TRACE=1 cargo test -q --test serving --test trace_determinism
 
 echo "== parbench --smoke (forced spill budget) =="
 cargo build --release -p inferturbo-bench
+# engine/pregel_sage2_3k_xproc spawns the release `itworker`; the bench
+# package build above does not produce it.
+cargo build --release -p inferturbo-cluster --bin itworker
 # One short measurement per bench; never committed as the perf baseline
 # (scripts/bench.sh produces that). The tiny --spill-budget forces the
 # engine/pregel_sage2_3k_spill entry through the disk path on every gate.

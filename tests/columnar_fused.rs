@@ -3,10 +3,10 @@
 //! worker counts, thread counts, and pool operators, the engine-fused path
 //! must be **bit-identical** to its two reference semantics:
 //!
-//! 1. the legacy per-object combiner path (`with_columnar(false)`) — both
-//!    fold per (sender, destination) in emission order with copy-on-first,
-//!    then merge partials in ascending sender order, so every f32 op runs
-//!    in the same sequence;
+//! 1. the typed per-object combiner path (the same program with its
+//!    message layout switched off) — both fold per (sender, destination)
+//!    in emission order with copy-on-first, then merge partials in
+//!    ascending sender order, so every f32 op runs in the same sequence;
 //! 2. materialize-then-`segment_sum`/`segment_mean`/`segment_max` over the
 //!    raw message rows in delivery order — exact whenever the whole fold
 //!    happens inside one sender (single worker), and exact for max at any
@@ -31,10 +31,11 @@ use proptest::prelude::*;
 
 /// Scatter-then-aggregate over one superstep pair: step 0 sends each
 /// vertex's feature row along its out-edges; step 1 stores the pooled
-/// aggregate. Runs on the fused columnar plane, the materialized columnar
-/// plane, or (columnar disabled) the legacy combiner plane — whichever the
-/// engine offers.
+/// aggregate. Runs on the fused columnar plane or — with `rows` off, so
+/// it declares no message layout — on the typed plane through the
+/// equivalent per-object combiner.
 struct PoolProg {
+    rows: bool,
     dim: usize,
     op: PoolOp,
     agg: PoolRowAggregator,
@@ -51,8 +52,8 @@ struct PoolState {
 
 /// Legacy-plane combiner matching [`PoolRowAggregator`] fold-for-fold.
 /// Legacy messages carry `dim` payload lanes plus one count lane (the
-/// role `GnnMessage::Partial`'s count plays on the real wire): payload
-/// lanes fold through the aggregator, count lanes add.
+/// fold count a partial aggregate carries on the wire): payload lanes fold
+/// through the aggregator, count lanes add.
 struct VecPool {
     op: PoolOp,
 }
@@ -125,7 +126,7 @@ impl VertexProgram for PoolProg {
                 }
             } else {
                 // Legacy wire: payload + a count lane (initially 1 raw
-                // message), like `GnnMessage::Partial`.
+                // message), like a one-message partial aggregate.
                 for &nb in &state.nbrs {
                     let mut m = state.feat.clone();
                     m.push(1.0);
@@ -164,7 +165,7 @@ impl VertexProgram for PoolProg {
     }
 
     fn message_layout(&self, step: usize) -> Option<MessageLayout> {
-        (step == 0).then_some(MessageLayout { dim: self.dim })
+        (self.rows && step == 0).then_some(MessageLayout { dim: self.dim })
     }
 
     fn fused_aggregator(&self, step: usize) -> Option<&dyn FusedAggregator> {
@@ -172,8 +173,8 @@ impl VertexProgram for PoolProg {
     }
 
     fn combiner(&self, _step: usize) -> Option<&dyn Combiner<Vec<f32>>> {
-        // The legacy plane gets the equivalent per-object combiner, so
-        // disabling the columnar plane reproduces the pre-columnar engine.
+        // The typed plane gets the equivalent per-object combiner, so
+        // switching the layout off reproduces the pre-columnar engine.
         Some(&self.comb)
     }
 
@@ -212,12 +213,13 @@ fn build_case(n: usize, e: usize, dim: usize, op: PoolOp, seed: u64) -> Case {
 }
 
 /// Run the program over `case` and return each vertex's finished
-/// aggregate as bit patterns (plus the raw-message count). `spill_budget`
+/// aggregate as bit patterns (plus the raw-message count). `rows` picks
+/// the columnar plane (`false`: the typed-plane reference); `spill_budget`
 /// puts the columnar inboxes under an out-of-core byte budget.
 fn run_case(
     case: &Case,
     workers: usize,
-    columnar: bool,
+    rows: bool,
     threads: usize,
     spill_budget: Option<u64>,
 ) -> Vec<(Vec<u32>, u32)> {
@@ -227,9 +229,9 @@ fn run_case(
         });
         let cfg = PregelConfig::new(ClusterSpec::test_spec(workers))
             .with_activation(ActivationPolicy::AlwaysActive)
-            .with_columnar(columnar)
             .with_spill(spill);
         let prog = PoolProg {
+            rows,
             dim: case.dim,
             op: case.op,
             agg: PoolRowAggregator { op: case.op },
@@ -290,8 +292,8 @@ fn op_of(sel: u8) -> PoolOp {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// Fused scatter-aggregation == the legacy combiner path, bit for bit,
-    /// for every pool op, worker count, and thread count.
+    /// Fused scatter-aggregation == the typed-plane combiner path, bit for
+    /// bit, for every pool op, worker count, and thread count.
     #[test]
     fn prop_fused_bit_identical_to_legacy_combiner(
         n in 2usize..24,

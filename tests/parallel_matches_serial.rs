@@ -297,75 +297,32 @@ fn pregel_inference_bitwise_identical_across_thread_counts() {
     let g = test_graph(23, 300, 1800);
     let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 7);
     for workers in [1usize, 4, 7] {
-        // Both message planes: columnar (fused scatter-aggregation) and
-        // the legacy per-object path.
-        for columnar in [true, false] {
-            let strat = StrategyConfig::all()
-                .with_threshold(8)
-                .with_columnar(columnar);
-            let serial = Parallelism::with(1, || {
-                infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
-            });
-            let parallel = Parallelism::with(PAR_THREADS, || {
-                infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
-            });
-            assert_eq!(
-                logits_bits(&serial),
-                logits_bits(&parallel),
-                "pregel logits diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.total_bytes(),
-                parallel.report.total_bytes(),
-                "pregel bytes diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.message_bytes, parallel.report.message_bytes,
-                "pregel plane accounting diverged at {workers} workers"
-            );
-        }
-    }
-}
-
-#[test]
-fn pregel_columnar_plane_bit_matches_legacy_plane() {
-    // The fused columnar path must reproduce the legacy combiner path's
-    // logits bit for bit — the engine-level guarantee, checked end-to-end
-    // through the full GNN stack. Broadcast stays off: refs interleave
-    // with payloads in delivery order on the legacy plane but fold after
-    // the fused accumulator on the columnar plane, so with hubs the two
-    // paths agree only to float tolerance, not bitwise.
-    let g = test_graph(29, 300, 1800);
-    let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 5);
-    for workers in [1usize, 4] {
-        let strat = StrategyConfig::all()
-            .with_broadcast(false)
-            .with_threshold(8);
-        let columnar =
-            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap();
-        let legacy = infer_pregel(
-            &model,
-            &g,
-            ClusterSpec::pregel_cluster(workers),
-            strat.with_columnar(false),
-        )
-        .unwrap();
+        // Fused scatter-aggregation on the columnar plane plus hub
+        // broadcast refs on the typed plane.
+        let strat = StrategyConfig::all().with_threshold(8);
+        let serial = Parallelism::with(1, || {
+            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+        });
+        let parallel = Parallelism::with(PAR_THREADS, || {
+            infer_pregel(&model, &g, ClusterSpec::pregel_cluster(workers), strat).unwrap()
+        });
         assert_eq!(
-            logits_bits(&columnar),
-            logits_bits(&legacy),
-            "planes diverged at {workers} workers"
+            logits_bits(&serial),
+            logits_bits(&parallel),
+            "pregel logits diverged at {workers} workers"
         );
-        assert!(columnar.report.message_bytes.columnar > 0);
-        assert_eq!(legacy.report.message_bytes.columnar, 0);
+        assert_eq!(
+            serial.report.total_bytes(),
+            parallel.report.total_bytes(),
+            "pregel bytes diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.message_bytes, parallel.report.message_bytes,
+            "pregel plane accounting diverged at {workers} workers"
+        );
     }
 }
 
-/// The out-of-core acceptance criterion: a Pregel plan whose in-memory
-/// peak residency exceeds the worker memory cap OOMs without a spill
-/// budget, runs to completion with one, and the spilled run's logits are
-/// bit-identical to the unconstrained in-memory run at every thread
-/// count. `plan.summary()` and the `RunReport` expose resident vs spilled
-/// bytes as separate planes.
 #[test]
 fn spill_budget_lifts_the_memory_cap_with_bit_identical_logits() {
     let g = test_graph(43, 300, 2400);
@@ -434,31 +391,27 @@ fn mapreduce_inference_bitwise_identical_across_thread_counts() {
     let g = test_graph(37, 300, 1800);
     let model = GnnModel::sage(8, 12, 2, 3, false, PoolOp::Mean, 9);
     for workers in [1usize, 4, 7] {
-        for columnar in [true, false] {
-            let strat = StrategyConfig::all()
-                .with_threshold(8)
-                .with_columnar(columnar);
-            let serial = Parallelism::with(1, || {
-                infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
-            });
-            let parallel = Parallelism::with(PAR_THREADS, || {
-                infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
-            });
-            assert_eq!(
-                logits_bits(&serial),
-                logits_bits(&parallel),
-                "mapreduce logits diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.total_bytes(),
-                parallel.report.total_bytes(),
-                "mapreduce bytes diverged at {workers} workers (columnar={columnar})"
-            );
-            assert_eq!(
-                serial.report.message_bytes, parallel.report.message_bytes,
-                "mapreduce plane accounting diverged at {workers} workers"
-            );
-        }
+        let strat = StrategyConfig::all().with_threshold(8);
+        let serial = Parallelism::with(1, || {
+            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+        });
+        let parallel = Parallelism::with(PAR_THREADS, || {
+            infer_mapreduce(&model, &g, ClusterSpec::mapreduce_cluster(workers), strat).unwrap()
+        });
+        assert_eq!(
+            logits_bits(&serial),
+            logits_bits(&parallel),
+            "mapreduce logits diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.total_bytes(),
+            parallel.report.total_bytes(),
+            "mapreduce bytes diverged at {workers} workers"
+        );
+        assert_eq!(
+            serial.report.message_bytes, parallel.report.message_bytes,
+            "mapreduce plane accounting diverged at {workers} workers"
+        );
     }
 }
 
