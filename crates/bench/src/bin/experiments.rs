@@ -51,7 +51,6 @@ fn main() {
         ("fig11", fig11::run),
         ("fig12", fig12::run),
         ("fig13", fig13::run),
-        ("scaling", scaling::run),
     ];
 
     for sel in &selected {
@@ -62,9 +61,7 @@ fn main() {
         } else if let Some((name, f)) = all.iter().find(|(n, _)| n == sel) {
             run_one(name, *f, &ctx);
         } else {
-            eprintln!(
-                "unknown experiment `{sel}`; known: table1..table4, fig7..fig13, scaling, all"
-            );
+            eprintln!("unknown experiment `{sel}`; known: table1..table4, fig7..fig13, all");
             std::process::exit(2);
         }
     }

@@ -11,7 +11,6 @@
 //! (per-byte / per-FLOP) regime the paper operates in stays visible.
 //! Ratios and shapes are the reproduction target, not absolute numbers.
 
-pub mod clock;
 pub mod ctx;
 pub mod report;
 pub mod workloads;
@@ -23,11 +22,9 @@ pub mod fig13;
 pub mod fig7;
 pub mod fig8;
 pub mod fig9;
-pub mod scaling;
 pub mod table1;
 pub mod table2;
 pub mod table3;
 pub mod table4;
 
-pub use clock::WallClock;
 pub use ctx::ExpCtx;

@@ -5,7 +5,6 @@
 //! can pin ambient configuration to these modules.
 
 use super::{InProcess, Transport, WorkerProcess};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 /// The transport forced by the `INFERTURBO_TRANSPORT` environment
@@ -18,15 +17,6 @@ pub fn from_env() -> Arc<dyn Transport> {
         Ok(v) if v.trim() == "process" => Arc::new(WorkerProcess::new()),
         _ => Arc::new(InProcess),
     }
-}
-
-/// Explicit worker-binary override (`INFERTURBO_WORKER_BIN`), for callers
-/// whose executable layout defeats the `target/<profile>/` heuristic.
-pub(super) fn worker_bin_override() -> Option<PathBuf> {
-    std::env::var("INFERTURBO_WORKER_BIN")
-        .ok()
-        .filter(|v| !v.trim().is_empty())
-        .map(PathBuf::from)
 }
 
 #[cfg(test)]

@@ -78,7 +78,7 @@ use inferturbo_common::rows::{
 };
 use inferturbo_common::{Error, Result};
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::Mutex;
 
 use crate::fault::FaultInjector;
@@ -336,13 +336,12 @@ impl Default for WorkerProcess {
 }
 
 impl WorkerProcess {
-    /// Locate the worker binary (the `INFERTURBO_WORKER_BIN` override,
-    /// else `itworker` next to the current executable). Nothing is
-    /// spawned until the first exchange needs a child.
+    /// Locate the worker binary (`itworker` next to the current
+    /// executable). Nothing is spawned until the first exchange needs a
+    /// child; callers with another layout use [`WorkerProcess::with_bin`].
     pub fn new() -> Self {
-        let bin = env::worker_bin_override().or_else(spawn::default_worker_bin);
         WorkerProcess {
-            bin,
+            bin: spawn::default_worker_bin(),
             pool: Mutex::new(Vec::new()),
         }
     }
@@ -355,13 +354,6 @@ impl WorkerProcess {
         }
     }
 
-    /// The worker binary this transport will spawn, or `None` when none
-    /// was found. Lets a harness check its prerequisites before the first
-    /// exchange instead of failing midway through a run.
-    pub fn worker_bin(&self) -> Option<&Path> {
-        self.bin.as_deref()
-    }
-
     fn checkout(&self) -> Result<spawn::WorkerHandle> {
         if let Some(h) = self.lock_pool().pop() {
             return Ok(h);
@@ -369,8 +361,8 @@ impl WorkerProcess {
         let bin = self.bin.as_ref().ok_or_else(|| {
             Error::Internal(
                 "transport worker binary not found; build the `itworker` bin \
-                 (cargo build -p inferturbo-cluster --bin itworker) or set \
-                 INFERTURBO_WORKER_BIN"
+                 (cargo build -p inferturbo-cluster --bin itworker) or pass its \
+                 path to WorkerProcess::with_bin"
                     .into(),
             )
         })?;

@@ -32,10 +32,10 @@
 //!
 //! # Configuration
 //!
-//! The global thread budget comes from, in priority order:
-//! 1. [`Parallelism::set`] (programmatic override);
-//! 2. the `INFERTURBO_THREADS` environment variable;
-//! 3. `std::thread::available_parallelism()`.
+//! The global thread budget is whatever [`Parallelism::set`] (or
+//! [`Parallelism::with`]) last chose, else
+//! `std::thread::available_parallelism()`. There is no environment
+//! override: a thread budget is program configuration, not ambient state.
 //!
 //! A budget of `1` runs every helper inline on the calling thread — no
 //! threads are spawned, giving exactly the pre-parallelism serial
@@ -61,15 +61,9 @@ impl Parallelism {
         if t != 0 {
             return t;
         }
-        let resolved = std::env::var("INFERTURBO_THREADS")
-            .ok()
-            .and_then(|v| v.parse::<usize>().ok())
-            .filter(|&n| n >= 1)
-            .unwrap_or_else(|| {
-                std::thread::available_parallelism()
-                    .map(|n| n.get())
-                    .unwrap_or(1)
-            });
+        let resolved = std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1);
         THREADS.store(resolved, Ordering::Relaxed);
         resolved
     }

@@ -49,8 +49,8 @@
 //!   configuration — pooled scratch and pre-built records are observably
 //!   invisible;
 //! - results are independent of the thread budget
-//!   (`INFERTURBO_THREADS` / `Parallelism`), per the workspace-wide
-//!   contract in `inferturbo_common::par`;
+//!   ([`Parallelism`](inferturbo_common::Parallelism)), per the
+//!   workspace-wide contract in `inferturbo_common::par`;
 //! - [`InferencePlan::run_with_features`] over the graph's own features
 //!   is bit-identical to [`InferencePlan::run`].
 //!

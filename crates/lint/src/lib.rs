@@ -41,7 +41,7 @@
 //! | `panic-in-lib` | `.unwrap()`, `.expect()`, `panic!`, `unreachable!`, `todo!` | test code only |
 //! | `unordered-iter` | `.iter()`/`.keys()`/`.values()`/`.drain()`/… or `for … in` on a `HashMap`/`HashSet`-typed binding, in `pregel`/`serve`/`cluster`/`common` | sorted drains / `BTreeMap` |
 //! | `raw-spawn` | `thread::{spawn,scope,Builder}`, `Command::new`, `process::Command` | `common/src/par.rs` owns threads, `cluster/src/transport/spawn.rs` owns worker processes |
-//! | `env-read` | `env::{var,var_os,vars}` | `common/src/par.rs`, `cluster/src/fault.rs`, `cluster/src/transport/env.rs`, `obs/src/arm.rs` |
+//! | `env-read` | `env::{var,var_os,vars}` | `cluster/src/fault.rs`, `cluster/src/transport/env.rs`, `obs/src/arm.rs` |
 //! | `malformed-allow` | an `itlint::allow` comment that does not parse | — |
 //!
 //! ## Suppressing a finding

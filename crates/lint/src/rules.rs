@@ -457,7 +457,15 @@ mod tests {
         let src = "fn f() { std::thread::spawn(|| {}); std::env::var(\"X\").ok(); }\n";
         let got = rules_of("crates/serve/src/x.rs", src);
         assert_eq!(got.len(), 2, "{got:?}");
-        assert_eq!(rules_of("crates/common/src/par.rs", src).len(), 0);
+        // Each sanction covers only its own rule.
+        assert_eq!(
+            rules_of("crates/common/src/par.rs", src),
+            vec![("env-read".to_string(), 1)]
+        );
+        assert_eq!(
+            rules_of("crates/cluster/src/fault.rs", src),
+            vec![("raw-spawn".to_string(), 1)]
+        );
     }
 
     #[test]

@@ -123,9 +123,9 @@ fn env_read_fixture_flags_env_access_outside_sanctioned_modules() {
 
 #[test]
 fn env_read_sanction_covers_only_the_transport_arming_module() {
-    // `INFERTURBO_TRANSPORT` / `INFERTURBO_WORKER_BIN` arming is
-    // sanctioned in `transport/env.rs`; env reads anywhere else in the
-    // transport (or the cluster crate) still flag.
+    // `INFERTURBO_TRANSPORT` arming is sanctioned in `transport/env.rs`;
+    // env reads anywhere else in the transport (or the cluster crate)
+    // still flag.
     assert_eq!(
         hits("crates/cluster/src/transport/env.rs", ENV_READ),
         vec![]

@@ -1,7 +1,7 @@
 //! `INFERTURBO_TRACE` env arming — the one sanctioned environment read
 //! in this crate (listed in `itlint`'s env-read exemptions, like
-//! `INFERTURBO_THREADS` in `inferturbo_common::par` and
-//! `INFERTURBO_FAULTS` in `inferturbo_cluster::fault`).
+//! `INFERTURBO_FAULTS` in `inferturbo_cluster::fault` and
+//! `INFERTURBO_TRANSPORT` in `inferturbo_cluster::transport`).
 //!
 //! Setting `INFERTURBO_TRACE` to anything but `0`/empty arms an
 //! **in-memory** recording sink on every session and server built with

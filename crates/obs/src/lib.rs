@@ -6,11 +6,9 @@
 //! trace bytes are bit-identical at every thread count, with spill
 //! enabled or disabled, and across fault-recovery replays — the same
 //! contract the engines already honour for logits, extended to
-//! telemetry. Wall-clock time appears nowhere; durations and orderings
-//! are logical ([`event::LogicalTime`]), and the optional real-time
-//! [`sink::ClockSource`] implementation lives behind the bench-only door
-//! (`inferturbo_bench`), the one crate exempt from the `itlint`
-//! wallclock gate.
+//! telemetry. Wall-clock time appears nowhere; orderings are logical
+//! ([`event::LogicalTime`]). Measured durations are taken from outside
+//! the library, by the `perfbench` harness, and never enter trace bytes.
 //!
 //! # Event model
 //!
@@ -94,6 +92,4 @@ pub use event::{
     TerminalStatus,
 };
 pub use registry::{Histogram, Metric, MetricValue, MetricsRegistry};
-pub use sink::{
-    ClockSource, LogicalClock, NullSink, RecordingSink, TraceHandle, TraceMark, TraceSink,
-};
+pub use sink::{NullSink, RecordingSink, TraceHandle, TraceMark, TraceSink};

@@ -290,35 +290,6 @@ impl TraceHandle {
     }
 }
 
-/// Logical duration source for span-style accounting. The workspace bans
-/// wall clocks in library code (the `itlint` wallclock gate); the one
-/// sanctioned real-time implementation lives behind the bench-only door
-/// (`inferturbo_bench`). Everything in this crate uses logical ticks.
-pub trait ClockSource {
-    /// Current logical instant (monotone, unitless).
-    fn now(&self) -> u64;
-}
-
-/// The default clock: a counter advanced by [`LogicalClock::advance`].
-#[derive(Debug, Default)]
-pub struct LogicalClock(std::cell::Cell<u64>);
-
-impl LogicalClock {
-    pub fn new() -> Self {
-        LogicalClock::default()
-    }
-
-    pub fn advance(&self, ticks: u64) {
-        self.0.set(self.0.get() + ticks);
-    }
-}
-
-impl ClockSource for LogicalClock {
-    fn now(&self) -> u64 {
-        self.0.get()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -433,13 +404,5 @@ mod tests {
         let ev = h.events();
         assert_eq!(ev.len(), 2);
         assert_eq!((ev[0].time.epoch, ev[1].time.epoch), (0, 1));
-    }
-
-    #[test]
-    fn logical_clock_is_the_default_clock_source() {
-        let c = LogicalClock::new();
-        assert_eq!(c.now(), 0);
-        c.advance(3);
-        assert_eq!(c.now(), 3);
     }
 }

@@ -88,11 +88,6 @@ pub struct PregelConfig {
     /// routing; swap for `|id, n| (id % n as u64) as usize` to reproduce the
     /// paper's literal `mod N`.
     pub partition_fn: fn(u64, usize) -> usize,
-    /// When true, every remote message is encoded to bytes and decoded on
-    /// receipt — slower, but verifies the wire format end-to-end. Byte
-    /// *accounting* is identical in both modes. Columnar rows are exempt:
-    /// they are already flat `f32` wire layout by construction.
-    pub serialized_delivery: bool,
     /// Out-of-core policy for the columnar inter-superstep inboxes. When
     /// set, each worker's sealed [`RowArena`] / merged [`FusedRows`] whose
     /// row data exceeds `budget_bytes` pages to disk and streams back
@@ -140,7 +135,6 @@ impl PregelConfig {
             spec,
             activation: ActivationPolicy::AlwaysActive,
             partition_fn: partition_of,
-            serialized_delivery: false,
             spill: None,
             faults,
             recovery,
@@ -162,11 +156,6 @@ impl PregelConfig {
 
     pub fn with_activation(mut self, a: ActivationPolicy) -> Self {
         self.activation = a;
-        self
-    }
-
-    pub fn with_serialized_delivery(mut self, on: bool) -> Self {
-        self.serialized_delivery = on;
         self
     }
 
@@ -1269,7 +1258,7 @@ fn run_worker<P: VertexProgram>(
                 match combined_idx.get(&dst) {
                     Some(&i) => {
                         if let Some(overflow) = combiner.combine(&mut combined[i].1, msg) {
-                            deliver::<P>(config, index, w, dst, overflow, &mut out)?;
+                            deliver::<P>(index, w, dst, overflow, &mut out)?;
                         }
                     }
                     None => {
@@ -1280,7 +1269,7 @@ fn run_worker<P: VertexProgram>(
             }
         } else {
             for (dst, msg) in ob.messages.drain(..) {
-                deliver::<P>(config, index, w, dst, msg, &mut out)?;
+                deliver::<P>(index, w, dst, msg, &mut out)?;
             }
         }
 
@@ -1324,7 +1313,7 @@ fn run_worker<P: VertexProgram>(
 
     // Flush this worker's combined legacy messages.
     for (dst, msg) in combined {
-        deliver::<P>(config, index, w, dst, msg, &mut out)?;
+        deliver::<P>(index, w, dst, msg, &mut out)?;
     }
 
     // Flush accounting for fused rows: one partial-aggregate record per
@@ -1353,7 +1342,6 @@ fn run_worker<P: VertexProgram>(
 /// Route one legacy message into the sender's outbox shard for its
 /// destination worker, with full byte accounting on both sides.
 fn deliver<P: VertexProgram>(
-    config: &PregelConfig,
     index: &FxHashMap<u64, (u32, u32)>,
     from_worker: usize,
     dst: u64,
@@ -1365,20 +1353,11 @@ fn deliver<P: VertexProgram>(
         .ok_or_else(|| Error::InvalidGraph(format!("message to unknown vertex {dst}")))?;
     let (w2, slot) = (w2 as usize, slot as usize);
     let wire_len = (msg.encoded_len() + varint_len(dst)) as u64;
-    let msg = if w2 != from_worker {
+    if w2 != from_worker {
         out.metrics.send(wire_len);
         out.recv_bytes[w2] += wire_len;
         out.recv_records[w2] += 1;
-        if config.serialized_delivery {
-            // Round-trip through the real wire format.
-            let bytes = msg.to_bytes();
-            P::Msg::from_bytes(&bytes).map_err(|e| e.in_phase(format!("deliver to {dst}")))?
-        } else {
-            msg
-        }
-    } else {
-        msg
-    };
+    }
     out.inbox_bytes[w2] += wire_len;
     out.msg_bytes.legacy += wire_len;
     out.shards[w2].push((slot as u32, msg));
@@ -1511,41 +1490,6 @@ mod tests {
         // With only 4 vertices the combiner may or may not fold anything,
         // but it must never send MORE than the plain engine.
         assert!(combined.report().total_bytes() <= plain.report().total_bytes());
-    }
-
-    #[test]
-    fn serialized_delivery_matches_counted() {
-        let mut counted = pagerank_engine(3, false);
-        counted.run(5).unwrap();
-        let spec = ClusterSpec::test_spec(3);
-        let cfg = PregelConfig::new(spec).with_serialized_delivery(true);
-        let mut ser = PregelEngine::new(
-            PageRank {
-                n: 4.0,
-                damping: 0.85,
-                use_combiner: false,
-            },
-            cfg,
-        );
-        let adj: Vec<(u64, Vec<u64>)> =
-            vec![(0, vec![1, 2]), (1, vec![2]), (2, vec![0]), (3, vec![2])];
-        for (id, nbrs) in adj {
-            ser.add_vertex(id, PrState { rank: 0.25, nbrs });
-        }
-        ser.run(5).unwrap();
-        for id in 0..4u64 {
-            let a = counted.state(id).unwrap().rank;
-            let b = ser.state(id).unwrap().rank;
-            assert!(
-                (a - b).abs() < 1e-6,
-                "serialized delivery changed results at {id}"
-            );
-        }
-        assert_eq!(
-            counted.report().total_bytes(),
-            ser.report().total_bytes(),
-            "byte accounting must not depend on delivery mode"
-        );
     }
 
     /// SSSP with min-combiner and message-driven halting.

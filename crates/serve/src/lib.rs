@@ -68,8 +68,9 @@
 //!   bit-identical to calling
 //!   [`run_with_features`](inferturbo_core::InferencePlan::run_with_features)
 //!   sequentially, once per coalesced group, at every thread count
-//!   (`INFERTURBO_THREADS` / `Parallelism`) — a batch *is* one such call,
-//!   and the per-request responses are row slices of its output;
+//!   ([`Parallelism`](inferturbo_common::Parallelism)) — a batch *is*
+//!   one such call, and the per-request responses are row slices of its
+//!   output;
 //! - **stale answers are bit-identical to the fresh run that populated
 //!   them**: a [`ScoreStatus::ServedStale`] row is a copy of the
 //!   populating run's output row, never a recomputation;

@@ -1,17 +1,16 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: formatting, lints (deny warnings), the full test suite,
-# and a smoke run of the parallel benchmark binary so every workload is
+# and the benchmark's own test mode so every benchmark workload is
 # exercised end-to-end on every run.
 #
 # Every workspace member — including the serving layer (crates/serve) —
-# rides the workspace-wide gates below; `parbench --smoke` additionally
-# exercises the serving path end-to-end (`serve/throughput_3k` submits,
-# batches and drains real requests through GnnServer every run), the
-# overload-resilience path (`serve/overload_3k` rate-limits a tenant
-# spike and asserts stale service and deadline expiry actually engage),
-# and the out-of-core path (`engine/pregel_sage2_3k_spill` runs under the
-# forced spill budget below and asserts bytes actually paged through
-# disk).
+# rides the workspace-wide gates below. The serving, overload and
+# out-of-core paths are pinned by tests (tests/serving.rs,
+# tests/parallel_matches_serial.rs, tests/transport_equivalence.rs);
+# `perfbench/run.py --test` additionally runs each benchmark workload at
+# tiny size: Pregel in-process, MapReduce over spawned `itworker`
+# processes, Pregel under a spill budget with a checkpoint every
+# superstep, and a closed loop of clients on GnnServer.
 #
 # Usage: scripts/ci.sh
 set -euo pipefail
@@ -82,15 +81,10 @@ echo "== serving + trace tests (flight recorder armed) =="
 # by design.
 INFERTURBO_TRACE=1 cargo test -q --test serving --test trace_determinism
 
-echo "== parbench --smoke (forced spill budget) =="
-cargo build --release -p inferturbo-bench
-# engine/pregel_sage2_3k_xproc spawns the release `itworker`; the bench
-# package build above does not produce it.
-cargo build --release -p inferturbo-cluster --bin itworker
-# One short measurement per bench; never committed as the perf baseline
-# (scripts/bench.sh produces that). The tiny --spill-budget forces the
-# engine/pregel_sage2_3k_spill entry through the disk path on every gate.
-./target/release/parbench --smoke --spill-budget 4096 \
-    --out target/BENCH_parallel_smoke.json >/dev/null
+echo "== perfbench/run.py --test (every benchmark workload, tiny size) =="
+# Builds the release `itworker` and the perfbench package into its own
+# target directory, runs the package's tests, then the smoke test: each
+# workload end to end, checked for correctness and zero failed operations.
+python3 perfbench/run.py --test
 
 echo "CI OK"

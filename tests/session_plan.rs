@@ -2,9 +2,7 @@
 //!
 //! 1. **Plan reuse**: one plan, many `.run()` calls, across thread budgets
 //!    — every run bit-identical to a fresh one-shot run. Thread budgets
-//!    are driven through `Parallelism::with`, the programmatic equivalent
-//!    of the `INFERTURBO_THREADS` environment override (the env var is
-//!    read once per process, so tests must use the override API).
+//!    are driven through `Parallelism::with`.
 //! 2. **Wrapper equivalence**: the legacy one-shot drivers are pinned
 //!    bit-identical to the session path for every model × strategy
 //!    combination of the equivalence suite.

@@ -9,7 +9,9 @@
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use inferturbo::cluster::{FaultPlan, InProcess, RecoveryPolicy, Transport, WorkerProcess};
+use inferturbo::cluster::{
+    ClusterSpec, FaultPlan, InProcess, RecoveryPolicy, Transport, WorkerProcess,
+};
 use inferturbo::common::Parallelism;
 use inferturbo::core::models::{GnnModel, PoolOp};
 use inferturbo::core::session::{Backend, InferenceSession};
@@ -17,6 +19,7 @@ use inferturbo::core::strategy::StrategyConfig;
 use inferturbo::graph::gen::{generate, DegreeSkew, GenConfig};
 use inferturbo::graph::Graph;
 use inferturbo::obs::TraceHandle;
+use inferturbo::pregel::{Outbox, PregelConfig, PregelEngine, VertexProgram};
 
 fn test_graph() -> Graph {
     generate(&GenConfig {
@@ -207,5 +210,86 @@ fn fault_recovery_replays_identically_over_the_process_transport() {
         );
         assert_eq!(want.0, got.0, "recovered logits diverged under {spec}");
         assert_eq!(want.1, got.1, "recovered trace diverged under {spec}");
+    }
+}
+
+/// PageRank with typed `f32` messages and no row layout: every message
+/// rides the typed plane, so a byte-moving transport encodes each one and
+/// the engine decodes it on the far side of the pipe.
+struct PageRank {
+    n: f64,
+}
+
+#[derive(Clone)]
+struct PrState {
+    rank: f64,
+    nbrs: Vec<u64>,
+}
+
+impl VertexProgram for PageRank {
+    type State = PrState;
+    type Msg = f32;
+
+    fn compute(
+        &self,
+        step: usize,
+        _vertex: u64,
+        state: &mut PrState,
+        messages: Vec<f32>,
+        _bcast: &dyn Fn(u64) -> Option<f32>,
+        out: &mut Outbox<f32>,
+    ) {
+        if step > 0 {
+            let sum: f64 = messages.iter().map(|&m| m as f64).sum();
+            state.rank = 0.15 / self.n + 0.85 * sum;
+        }
+        let share = (state.rank / state.nbrs.len().max(1) as f64) as f32;
+        for &nb in &state.nbrs {
+            out.send(nb, share);
+        }
+    }
+}
+
+/// Rank bits, total modelled bytes and wire bytes of a PageRank run.
+fn pagerank(g: &Graph, workers: usize, transport: &Arc<dyn Transport>) -> (Vec<u64>, u64, u64) {
+    let n = g.n_nodes();
+    let cfg = PregelConfig::unfaulted(ClusterSpec::test_spec(workers))
+        .with_transport(Arc::clone(transport));
+    let mut eng = PregelEngine::new(PageRank { n: n as f64 }, cfg);
+    let mut adj: Vec<Vec<u64>> = vec![Vec::new(); n];
+    for (&s, &d) in g.src().iter().zip(g.dst()) {
+        adj[s as usize].push(d as u64);
+    }
+    for (v, nbrs) in adj.into_iter().enumerate() {
+        let rank = 1.0 / n as f64;
+        eng.add_vertex(v as u64, PrState { rank, nbrs });
+    }
+    eng.run(5).expect("pagerank run");
+    let mut ranks = vec![0u64; n];
+    eng.for_each_state(|id, st| ranks[id as usize] = st.rank.to_bits());
+    (ranks, eng.report().total_bytes(), eng.report().wire_bytes)
+}
+
+#[test]
+fn typed_messages_survive_the_process_wire() {
+    // Typed `VertexProgram::Msg` records cross the pipe through the real
+    // codec (`to_bytes` before the exchange, `from_bytes` after it); the
+    // ranks and the byte accounting must match the in-process move.
+    let g = test_graph();
+    let local: Arc<dyn Transport> = Arc::new(InProcess);
+    let procs: Arc<dyn Transport> = Arc::new(WorkerProcess::with_bin(worker_bin()));
+    for workers in [2usize, 3] {
+        let want = pagerank(&g, workers, &local);
+        let got = pagerank(&g, workers, &procs);
+        assert_eq!(want.0, got.0, "ranks diverged at {workers} workers");
+        assert_eq!(
+            want.1, got.1,
+            "byte accounting diverged at {workers} workers"
+        );
+        assert_eq!(want.2, 0, "in-process moves never touch the wire");
+        assert!(
+            got.2 > 0,
+            "typed records must cross the pipe at {workers} workers"
+        );
     }
 }
